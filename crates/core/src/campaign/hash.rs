@@ -115,6 +115,23 @@ mod tests {
     }
 
     #[test]
+    fn store_keys_are_pinned() {
+        // Known values: a change here orphans every existing store, so
+        // it must come with a FINGERPRINT_VERSION bump.
+        let key = |cfg: SystemConfig| {
+            point_key(&point_fingerprint(
+                &cfg,
+                &StorageConfig::unprotected(0.1, cfg.llr_bits),
+                10.0,
+                42,
+                None,
+            ))
+        };
+        assert_eq!(key(SystemConfig::paper_64qam()), 0x4385_44a7_7d8c_b942);
+        assert_eq!(key(SystemConfig::fast_test()), 0x782a_3767_a6e3_ae65);
+    }
+
+    #[test]
     fn custom_fingerprint_tracks_descriptor() {
         let cfg = SystemConfig::fast_test();
         let a = custom_fingerprint(&cfg, "transient p=1e-4", 10.0, 1);
