@@ -12,10 +12,7 @@ use dsp::LlrQuantizer;
 use hspa_phy::channel::{ChannelModel, MultipathChannel};
 use hspa_phy::equalizer::MmseEqualizer;
 use hspa_phy::modulation::Modulation;
-use hspa_phy::turbo::{
-    AccuracyTier, DecodeResult, DecoderConfig, TurboBatchScratch, TurboCode, TurboInterleaver,
-    TurboScratch,
-};
+use hspa_phy::turbo::{DecodeResult, TurboBatchScratch, TurboCode, TurboInterleaver, TurboScratch};
 use silicon::fault_map::{FaultKind, FaultMap};
 use silicon::yield_model::yield_accepting;
 
@@ -78,20 +75,18 @@ fn bench_siso_batch(c: &mut Criterion) {
     });
 
     let mut batch = TurboBatchScratch::new();
-    for tier in [AccuracyTier::Exact, AccuracyTier::Fast32] {
-        for &lanes in &[1usize, 4, 8] {
-            let id = BenchmarkId::new(format!("lockstep_{tier}_decode6it_624"), lanes);
-            group.bench_with_input(id, &lanes, |b, &lanes| {
-                b.iter(|| {
-                    batch.begin_batch(code.coded_len());
-                    for llrs in &lane_llrs[..lanes] {
-                        batch.push_lane(black_box(llrs));
-                    }
-                    code.decode_batch(DecoderConfig::new(6, tier), &mut batch, None);
-                    black_box(batch.iterations_run(lanes - 1))
-                });
+    for &lanes in &[1usize, 4, 8] {
+        let id = BenchmarkId::new("lockstep_exact_decode6it_624", lanes);
+        group.bench_with_input(id, &lanes, |b, &lanes| {
+            b.iter(|| {
+                batch.begin_batch(code.coded_len());
+                for llrs in &lane_llrs[..lanes] {
+                    batch.push_lane(black_box(llrs));
+                }
+                code.decode_batch(6, &mut batch);
+                black_box(batch.iterations_run(lanes - 1))
             });
-        }
+        });
     }
     group.finish();
 }

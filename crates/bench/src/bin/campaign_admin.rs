@@ -7,7 +7,7 @@
 //! campaign-admin verify --name fig6 [--dir D] [--shard i/n] [--strict]
 //! campaign-admin stats  --name fig6 [--dir D] [--shard i/n]
 //! campaign-admin query  --name fig6 [--dir D] [--shard i/n] [--key HEX]
-//!                       [--snr LO:HI] [--tier TIER] [--converged BOOL]
+//!                       [--snr LO:HI] [--converged BOOL]
 //! campaign-admin export --name fig6 --file OUT   [--dir D] [--shard i/n]
 //! campaign-admin import --name fig6 --file IN    [--dir D] [--shard i/n]
 //!                       [--store-backend jsonl|indexed]
@@ -34,9 +34,8 @@
 //!   use, so the three surfaces cannot disagree).
 //! * `query` — `stats` restricted to the points matching the typed
 //!   filters (conjoined), plus one line per matching point. `--snr` is
-//!   an inclusive dB range, `--tier` an accuracy tier
-//!   (`exact`/`early-stop`/`fast32`), `--converged` `true`/`false`,
-//!   `--key` a 16-hex-digit point key.
+//!   an inclusive dB range, `--converged` `true`/`false`, `--key` a
+//!   16-hex-digit point key.
 //! * `export` / `import` — lossless conversion between store backends:
 //!   `export` copies the detected store of `(name, shard)` into
 //!   `--file` (the file extension picks the format — `.jsonl` for
@@ -56,7 +55,6 @@
 
 use std::path::{Path, PathBuf};
 
-use hspa_phy::turbo::AccuracyTier;
 use resilience_core::campaign::{
     manifest, shard, store, BackendKind, QueryFilter, ShardSpec, DEFAULT_STORE_DIR,
 };
@@ -66,7 +64,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: campaign-admin <merge|gc|verify|stats|query|export|import|top> \
          --name <campaign> [--dir DIR] [--out-dir DIR] [--shard I/N] \
-         [--key HEX] [--snr LO:HI] [--tier TIER] [--converged BOOL] \
+         [--key HEX] [--snr LO:HI] [--converged BOOL] \
          [--file PATH] [--store-backend jsonl|indexed] [--strict] \
          [--once] [--interval SECS]"
     );
@@ -129,13 +127,6 @@ fn main() {
                     })
                     .unwrap_or_else(|| usage());
                 filter = filter.with_snr_range(lo, hi);
-            }
-            "--tier" => {
-                let tier: AccuracyTier = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                filter = filter.with_tier(tier);
             }
             "--converged" => {
                 let converged: bool = it

@@ -8,7 +8,7 @@ use resilience_core::experiments::die_variation;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let budget = budget_from_args(&args);
-    let cfg = SystemConfig::paper_64qam().with_tier(budget.accuracy_tier);
+    let cfg = SystemConfig::paper_64qam();
     println!(
         "{}",
         banner("die-var", "throughput spread across dies", budget)

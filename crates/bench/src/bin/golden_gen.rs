@@ -15,7 +15,6 @@
 
 use rand::SeedableRng;
 
-use hspa_phy::turbo::{AccuracyTier, DecoderConfig, TurboBatchScratch};
 use resilience_core::config::{ChannelKind, SystemConfig};
 use resilience_core::montecarlo::{build_buffer, StorageConfig};
 use resilience_core::simulator::{LinkSimulator, PacketScratch};
@@ -71,83 +70,30 @@ fn decoder_cases() {
     }
 }
 
-/// Decoder-level Fast32 goldens: the f32 LLR path through a one-lane
-/// `TurboBatchScratch`. The hash still folds `f64` bit patterns — the
-/// batch scratch widens its f32 posteriors on output — so these tables
-/// pin the exact f32 arithmetic, not a rounded view of it.
-fn fast32_decoder_cases() {
-    println!("// (k, snr_db_x10, seed, iterations, bits_llr_hash, iterations_run)");
-    let mut batch = TurboBatchScratch::new();
-    for &k in &[40usize, 120, 624, 1000] {
-        let code = hspa_phy::turbo::TurboCode::new(k).expect("valid k");
-        for &snr_x10 in &[-45i32, -20, 0, 15, 40] {
-            let seed = k as u64 * 31 + snr_x10.unsigned_abs() as u64;
-            let mut rng = dsp::rng::seeded(seed);
-            let bits = dsp::rng::random_bits(&mut rng, k);
-            let coded = code.encode(&bits);
-            let llrs = noisy_llrs(&coded, snr_x10 as f64 / 10.0, seed ^ 0x5eed);
-            batch.begin_batch(llrs.len());
-            batch.push_lane(&llrs);
-            code.decode_batch(
-                DecoderConfig::new(8, AccuracyTier::Fast32),
-                &mut batch,
-                None,
-            );
-            println!(
-                "    ({k}, {snr_x10}, {seed}, 8, 0x{:016x}, {}),",
-                hash_decode(batch.bits(0), batch.llrs(0)),
-                batch.iterations_run(0)
-            );
-        }
-    }
-}
-
-fn outcome_cases(tier: AccuracyTier) {
+fn outcome_cases() {
     println!("// (cfg, channel, storage, snr_db_x10, packets, outcome_hash)");
-    // The Exact tier sweeps the full channel × storage × config grid;
-    // the non-default tiers pin a reduced but still faulty-inclusive
-    // slice so the per-tier tables stay cheap to run in CI.
-    let channels: &[(&str, ChannelKind)] = if tier == AccuracyTier::Exact {
-        &[
-            ("awgn", ChannelKind::Awgn),
-            ("peda", ChannelKind::PedestrianA),
-            ("veha", ChannelKind::VehicularA),
-            ("jakes", ChannelKind::CorrelatedSlowFading),
-        ]
-    } else {
-        &[
-            ("awgn", ChannelKind::Awgn),
-            ("veha", ChannelKind::VehicularA),
-        ]
-    };
-    let configs: &[(&str, SystemConfig)] = if tier == AccuracyTier::Exact {
-        &[
-            ("fast", SystemConfig::fast_test()),
-            ("paper", SystemConfig::paper_64qam()),
-        ]
-    } else {
-        &[("fast", SystemConfig::fast_test())]
-    };
-    for &(cfg_name, mut cfg) in configs {
-        cfg.accuracy_tier = tier;
+    let channels = [
+        ("awgn", ChannelKind::Awgn),
+        ("peda", ChannelKind::PedestrianA),
+        ("veha", ChannelKind::VehicularA),
+        ("jakes", ChannelKind::CorrelatedSlowFading),
+    ];
+    let configs = [
+        ("fast", SystemConfig::fast_test()),
+        ("paper", SystemConfig::paper_64qam()),
+    ];
+    for (cfg_name, mut cfg) in configs {
         let packets = if cfg_name == "fast" { 6 } else { 2 };
-        for &(ch_name, ch) in channels {
+        for (ch_name, ch) in channels {
             cfg.channel = ch;
             cfg.equalizer_taps = if ch == ChannelKind::VehicularA { 21 } else { 7 };
             let sim = LinkSimulator::new(cfg);
-            let storages: &[(&str, StorageConfig)] = if tier == AccuracyTier::Exact {
-                &[
-                    ("perfect", StorageConfig::Perfect),
-                    ("quantized", StorageConfig::Quantized),
-                    ("faulty10", StorageConfig::unprotected(0.10, cfg.llr_bits)),
-                ]
-            } else {
-                &[
-                    ("perfect", StorageConfig::Perfect),
-                    ("faulty10", StorageConfig::unprotected(0.10, cfg.llr_bits)),
-                ]
-            };
-            for (st_name, storage) in storages {
+            let storages = [
+                ("perfect", StorageConfig::Perfect),
+                ("quantized", StorageConfig::Quantized),
+                ("faulty10", StorageConfig::unprotected(0.10, cfg.llr_bits)),
+            ];
+            for (st_name, storage) in &storages {
                 for &snr_x10 in &[20i32, 80, 200] {
                     let seed = fnv1a(
                         format!("{cfg_name}/{ch_name}/{st_name}/{snr_x10}").bytes(),
@@ -184,14 +130,8 @@ fn outcome_cases(tier: AccuracyTier) {
 }
 
 fn main() {
-    println!("// --- decoder-level golden cases (Exact, f64) ---");
+    println!("// --- decoder-level golden cases ---");
     decoder_cases();
-    println!("// --- decoder-level golden cases (Fast32, f32 LLR path) ---");
-    fast32_decoder_cases();
-    println!("// --- link-level packet-outcome golden cases (Exact) ---");
-    outcome_cases(AccuracyTier::Exact);
-    println!("// --- link-level packet-outcome golden cases (EarlyStop) ---");
-    outcome_cases(AccuracyTier::EarlyStop);
-    println!("// --- link-level packet-outcome golden cases (Fast32) ---");
-    outcome_cases(AccuracyTier::Fast32);
+    println!("// --- link-level packet-outcome golden cases ---");
+    outcome_cases();
 }

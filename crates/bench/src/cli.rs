@@ -7,11 +7,9 @@
 //! * `--packets N` / `--max-packets N` — per-point packet budget (the
 //!   escalation **cap** under a campaign);
 //! * `--seed S`, `--threads T` — as before;
-//! * `--batch N` — engine decode batch width (`0`/unset = engine
-//!   default). Bit-identical at every width — a pure throughput knob;
-//! * `--accuracy-tier TIER` — decoder tier (`exact`, `early-stop`,
-//!   `fast32`). Non-default tiers change Monte-Carlo outcomes and get
-//!   their own campaign fingerprints (stores never mix tiers);
+//! * `--batch N` — engine decode batch width: the most packets one
+//!   wave decodes together (`0`/unset = engine default, `1` = one-lane
+//!   waves). Bit-identical at every width — a pure throughput knob;
 //! * `--precision P` — target relative half-width of the per-point BLER
 //!   confidence interval (default 0.25);
 //! * `--bler-floor F` — BLER below which a point counts as resolved;
@@ -51,7 +49,6 @@
 
 use std::path::Path;
 
-use hspa_phy::turbo::AccuracyTier;
 use resilience_core::campaign::{
     manifest, BackendKind, BackoffPolicy, Campaign, CampaignSettings, ShardSpec,
 };
@@ -91,11 +88,6 @@ pub fn budget_from_args(args: &[String]) -> ExperimentBudget {
             "--batch" => {
                 if let Some(v) = next_parsed::<usize>(&mut it) {
                     budget.batch = v;
-                }
-            }
-            "--accuracy-tier" => {
-                if let Some(v) = next_parsed::<AccuracyTier>(&mut it) {
-                    budget.accuracy_tier = v;
                 }
             }
             "--precision" => {
@@ -197,13 +189,8 @@ pub fn banner(figure: &str, what: &str, budget: ExperimentBudget) -> String {
         }
         None => "one-shot".into(),
     };
-    let tier = if budget.accuracy_tier == AccuracyTier::Exact {
-        String::new()
-    } else {
-        format!(", tier {}", budget.accuracy_tier)
-    };
     format!(
-        "=== DAC'12 reproduction — {figure}: {what}\n=== packets/point <= {}, seed = {:#x}, {mode}{tier}\n",
+        "=== DAC'12 reproduction — {figure}: {what}\n=== packets/point <= {}, seed = {:#x}, {mode}\n",
         budget.packets_per_point, budget.seed
     )
 }
@@ -507,26 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_and_tier() {
-        let b = budget_from_args(&args(&["--batch", "4", "--accuracy-tier", "fast32"]));
-        assert_eq!(b.batch, 4);
-        assert_eq!(b.accuracy_tier, AccuracyTier::Fast32);
+    fn parses_batch() {
+        assert_eq!(budget_from_args(&args(&["--batch", "4"])).batch, 4);
+        assert_eq!(budget_from_args(&args(&["--batch", "1"])).batch, 1);
         let d = budget_from_args(&[]);
         assert_eq!(d.batch, 0, "default is the engine's batch width");
-        assert_eq!(d.accuracy_tier, AccuracyTier::Exact);
-        // Malformed values keep the defaults, like every other flag.
-        for bad in [&["--batch", "x"][..], &["--accuracy-tier", "f16"]] {
-            let b = budget_from_args(&args(bad));
-            assert_eq!(b.batch, d.batch, "{bad:?}");
-            assert_eq!(b.accuracy_tier, d.accuracy_tier, "{bad:?}");
-        }
-        // The banner flags a non-default tier; the default stays silent.
-        let text = banner("figX", "t", b);
-        assert!(text.contains("tier fast32"), "{text}");
-        assert!(
-            !banner("figX", "t", d).contains("tier "),
-            "default tier is silent"
-        );
+        // A malformed value keeps the default, like every other flag.
+        assert_eq!(budget_from_args(&args(&["--batch", "x"])).batch, d.batch);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Per-stage time breakdown of the batched wave hot path.
 //!
-//! The scalar `stage_profile` example measures `simulate_packet_with`;
-//! this one drives `simulate_wave_with` directly at a fixed lane width,
-//! so the numbers show where a lockstep wave actually spends its time
-//! (the batched `decode` stage is recorded against lane 0 and reported
-//! per packet here).
+//! The `stage_profile` example measures `simulate_packet_with`, a
+//! one-lane wave; this one drives `simulate_wave_with` directly at a
+//! fixed lane width (default 16), so the numbers show where a lockstep
+//! wave actually spends its time (the batched `decode` stage is recorded
+//! against lane 0 and reported per packet here).
 //!
 //! Stage timing is always on (see `telemetry`), so a plain release run
 //! gives real numbers:

@@ -1308,7 +1308,6 @@ mod tests {
                 chunks: 1,
                 chunks_from_store: 0,
                 packets_from_store: 0,
-                tier: hspa_phy::turbo::AccuracyTier::Exact,
             });
             records.push((
                 ChunkId {

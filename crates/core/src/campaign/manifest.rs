@@ -12,8 +12,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use hspa_phy::turbo::AccuracyTier;
-
 use super::controller::CampaignSettings;
 use super::shard::ShardSpec;
 use super::store::{json_bool_field, json_f64_field, json_str_field, json_u64_field, BackendKind};
@@ -53,10 +51,6 @@ pub struct PointRecord {
     /// of `chunks_from_store` — chunks double in size, so the chunk
     /// ratio alone understates how much work resume actually saved).
     pub packets_from_store: usize,
-    /// Decoder accuracy tier the point was simulated at — part of the
-    /// point fingerprint, recorded here so `campaign-admin query
-    /// --tier` can filter without re-deriving configs.
-    pub tier: AccuracyTier,
 }
 
 impl PointRecord {
@@ -77,14 +71,15 @@ impl PointRecord {
             chunks: o.chunks,
             chunks_from_store: o.chunks_from_store,
             packets_from_store: o.packets_from_store,
-            tier: o.tier,
         }
     }
 
-    /// Renders the record as one manifest line (no trailing comma).
+    /// Renders the record as one manifest line (no trailing comma). The
+    /// constant `"tier": "exact"` field keeps manifests byte-identical
+    /// to those written when the decoder had several accuracy tiers.
     fn render(&self) -> String {
         format!(
-            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": \"{}\", \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"{}\"}}",
+            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": \"{}\", \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"exact\"}}",
             self.index,
             self.key,
             self.label.replace('"', "'"),
@@ -99,12 +94,13 @@ impl PointRecord {
             self.chunks,
             self.chunks_from_store,
             self.packets_from_store,
-            self.tier,
         )
     }
 
     /// Parses one manifest point line (as written by
-    /// [`PointRecord::render`]); `None` on malformed input.
+    /// [`PointRecord::render`]); `None` on malformed input, and on a
+    /// point simulated at a retired decoder tier (any `"tier"` other
+    /// than `"exact"`), which re-rendering would silently relabel.
     ///
     /// Round-trip stability matters here: `render(parse(line)) == line`
     /// for every line `render` produced, because the shard merge
@@ -121,6 +117,10 @@ impl PointRecord {
         let label = line[lstart..lend].to_string();
         let head = &line[..lstart];
         let rest = &line[lend..];
+        // Manifests written before the tier field existed have none.
+        if rest.contains("\"tier\":") && json_str_field(rest, "tier").as_deref() != Some("exact") {
+            return None;
+        }
         Some(Self {
             index: json_u64_field(head, "index")?,
             key: u64::from_str_radix(&json_str_field(head, "key")?, 16).ok()?,
@@ -140,11 +140,6 @@ impl PointRecord {
             // Lenient: manifests written before the field existed parse
             // as zero (the merge then re-renders them with it).
             packets_from_store: json_u64_field(rest, "packets_store").unwrap_or(0) as usize,
-            // Lenient for the same reason: older manifests predate the
-            // tier field, and `exact` is the historical default.
-            tier: json_str_field(rest, "tier")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(AccuracyTier::Exact),
         })
     }
 }
@@ -416,7 +411,6 @@ mod tests {
             chunks: 1,
             chunks_from_store: 1,
             packets_from_store: 32,
-            tier: AccuracyTier::Exact,
         });
         m.points.push(PointRecord {
             index: 1,
@@ -432,7 +426,6 @@ mod tests {
             chunks: 2,
             chunks_from_store: 0,
             packets_from_store: 0,
-            tier: AccuracyTier::EarlyStop,
         });
         m
     }
@@ -507,5 +500,26 @@ mod tests {
         assert!(PointRecord::parse("{}").is_none());
         // Trailing comma (mid-array form) is tolerated.
         assert!(PointRecord::parse(&format!("{line},")).is_some());
+    }
+
+    #[test]
+    fn point_record_parse_rejects_retired_tiers() {
+        let line = sample_manifest().points[1].render();
+        assert!(line.ends_with(", \"tier\": \"exact\"}"), "{line}");
+        for tier in ["\"early-stop\"", "\"fast32\"", "\"\"", "exact", "7"] {
+            let stale = line.replace("\"tier\": \"exact\"", &format!("\"tier\": {tier}"));
+            assert!(PointRecord::parse(&stale).is_none(), "{stale}");
+        }
+    }
+
+    #[test]
+    fn point_record_parse_accepts_lines_without_a_tier() {
+        let record = &sample_manifest().points[1];
+        let line = record.render();
+        let old = line.replace(", \"tier\": \"exact\"", "");
+        assert_ne!(old, line);
+        let parsed = PointRecord::parse(&old).expect("pre-tier lines parse");
+        assert_eq!(&parsed, record);
+        assert_eq!(parsed.render(), line);
     }
 }

@@ -81,7 +81,6 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use hspa_phy::harq::{HarqStats, LlrBuffer};
-use hspa_phy::turbo::AccuracyTier;
 
 use crate::engine::{ChunkSpec, CustomChunk, GridResult, SimulationEngine};
 use crate::montecarlo::StorageConfig;
@@ -177,10 +176,6 @@ pub struct PointOutcome {
     /// counts weight a 16-packet warmup chunk the same as a 4096-packet
     /// tail chunk).
     pub packets_from_store: usize,
-    /// Decoder accuracy tier the point ran at (from the simulator's
-    /// [`crate::config::SystemConfig`]); recorded into the manifest for
-    /// `campaign-admin query --tier`.
-    pub tier: AccuracyTier,
 }
 
 impl PointOutcome {
@@ -903,7 +898,6 @@ impl Campaign {
                 chunks: chunks_run[i],
                 chunks_from_store: chunks_hit[i],
                 packets_from_store: packets_hit[i],
-                tier: cfg.accuracy_tier,
             })
             .collect();
 

@@ -1068,7 +1068,7 @@ pub fn query(name: &str, dir: &Path, shard: ShardSpec, filter: &QueryFilter) -> 
     for p in &selected {
         out.push_str(&format!(
             "  point {:>4} {} key {:016x}  snr {:+.2} dB  bler {:.3e} ci [{:.3e}, {:.3e}]  \
-             packets {}/{}  tier {}  {}\n",
+             packets {}/{}  {}\n",
             p.index,
             p.label,
             p.key,
@@ -1078,7 +1078,6 @@ pub fn query(name: &str, dir: &Path, shard: ShardSpec, filter: &QueryFilter) -> 
             p.ci.1,
             p.packets,
             p.max_packets,
-            p.tier,
             if p.converged {
                 "converged"
             } else {
@@ -1274,7 +1273,6 @@ mod tests {
             chunks: 1,
             chunks_from_store: 0,
             packets_from_store: 0,
-            tier: hspa_phy::turbo::AccuracyTier::Exact,
         });
         m
     }

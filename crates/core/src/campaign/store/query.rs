@@ -1,11 +1,10 @@
 //! Typed query filters over campaign results — the filter-builder
 //! surface behind `campaign-admin query`. Filters select manifest
-//! points (by key, SNR range, accuracy tier, convergence state); the
+//! points (by key, SNR range, convergence state); the
 //! matching point keys then drive indexed per-point store lookups, so
 //! a query touches only the records it selects.
 
 use crate::campaign::manifest::PointRecord;
-use hspa_phy::turbo::AccuracyTier;
 
 /// A conjunction of typed point filters; an empty filter matches every
 /// point. Built with the `with_*` builders, applied with
@@ -14,7 +13,6 @@ use hspa_phy::turbo::AccuracyTier;
 pub struct QueryFilter {
     key: Option<u64>,
     snr: Option<(f64, f64)>,
-    tier: Option<AccuracyTier>,
     converged: Option<bool>,
 }
 
@@ -36,12 +34,6 @@ impl QueryFilter {
         self
     }
 
-    /// Restricts to points simulated at one accuracy tier.
-    pub fn with_tier(mut self, tier: AccuracyTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
     /// Restricts by convergence state (`true`: Wilson CI met the
     /// precision target within budget).
     pub fn with_converged(mut self, converged: bool) -> Self {
@@ -51,7 +43,7 @@ impl QueryFilter {
 
     /// Whether any restriction is set.
     pub fn is_empty(&self) -> bool {
-        self.key.is_none() && self.snr.is_none() && self.tier.is_none() && self.converged.is_none()
+        self.key.is_none() && self.snr.is_none() && self.converged.is_none()
     }
 
     /// Whether one manifest point passes every set restriction.
@@ -63,11 +55,6 @@ impl QueryFilter {
         }
         if let Some((lo, hi)) = self.snr {
             if point.snr_db < lo || point.snr_db > hi {
-                return false;
-            }
-        }
-        if let Some(tier) = self.tier {
-            if point.tier != tier {
                 return false;
             }
         }
@@ -89,7 +76,7 @@ impl QueryFilter {
 mod tests {
     use super::*;
 
-    fn point(key: u64, snr_db: f64, converged: bool, tier: AccuracyTier) -> PointRecord {
+    fn point(key: u64, snr_db: f64, converged: bool) -> PointRecord {
         PointRecord {
             index: 0,
             key,
@@ -104,16 +91,15 @@ mod tests {
             chunks: 2,
             chunks_from_store: 0,
             packets_from_store: 0,
-            tier,
         }
     }
 
     #[test]
     fn filters_conjoin() {
         let points = vec![
-            point(1, -2.0, true, AccuracyTier::Exact),
-            point(2, 4.0, false, AccuracyTier::Exact),
-            point(3, 9.0, true, AccuracyTier::Fast32),
+            point(1, -2.0, true),
+            point(2, 4.0, false),
+            point(3, 9.0, true),
         ];
         assert_eq!(QueryFilter::new().select(&points).len(), 3);
         assert!(QueryFilter::new().is_empty());
@@ -131,19 +117,13 @@ mod tests {
             vec![3]
         );
 
-        let f = QueryFilter::new().with_tier(AccuracyTier::Fast32);
-        assert_eq!(
-            f.select(&points).iter().map(|p| p.key).collect::<Vec<_>>(),
-            vec![3]
-        );
-
         assert_eq!(QueryFilter::new().with_key(2).select(&points).len(), 1);
         assert_eq!(QueryFilter::new().with_key(99).select(&points).len(), 0);
     }
 
     #[test]
     fn snr_bounds_are_inclusive() {
-        let points = vec![point(1, 4.0, true, AccuracyTier::Exact)];
+        let points = vec![point(1, 4.0, true)];
         assert_eq!(
             QueryFilter::new()
                 .with_snr_range(4.0, 4.0)

@@ -5,7 +5,6 @@
 
 use dsp::{LlrFormat, LlrQuantizer};
 use hspa_phy::harq::HarqCombining;
-use hspa_phy::turbo::AccuracyTier;
 use hspa_phy::Modulation;
 use serde::{Deserialize, Serialize};
 
@@ -23,6 +22,20 @@ pub enum ChannelKind {
     /// Time-correlated (Jakes) flat fading: successive retransmissions
     /// see correlated fades (slow terminal), weakening HARQ diversity.
     CorrelatedSlowFading,
+}
+
+/// The turbo decoder's arithmetic: the bit-exact `f64` Max-Log-MAP
+/// reference is the only one.
+///
+/// It is kept as a one-variant field of [`SystemConfig`] because the
+/// config's `Debug` rendering (`accuracy_tier: Exact`) is part of every
+/// campaign store key ([`crate::campaign::hash::point_fingerprint`]);
+/// dropping the field would change every key and orphan existing stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum AccuracyTier {
+    /// Bit-exact `f64` Max-Log-MAP with the agreement early stop.
+    #[default]
+    Exact,
 }
 
 /// Complete link configuration.
@@ -57,10 +70,8 @@ pub struct SystemConfig {
     pub channel: ChannelKind,
     /// MMSE equalizer taps (ignored for AWGN).
     pub equalizer_taps: usize,
-    /// Turbo-decoder accuracy tier. `Exact` (the default) is the
-    /// bit-exact `f64` reference; `EarlyStop` adds the CRC-gated
-    /// iteration stop; `Fast32` runs single-precision trellis metrics.
-    /// Part of the campaign point fingerprint — stores never mix tiers.
+    /// Turbo-decoder arithmetic; always [`AccuracyTier::Exact`], kept
+    /// for store-key stability (see [`AccuracyTier`]).
     pub accuracy_tier: AccuracyTier,
 }
 
@@ -106,12 +117,6 @@ impl SystemConfig {
             equalizer_taps: 7,
             accuracy_tier: AccuracyTier::Exact,
         }
-    }
-
-    /// The same configuration with a different decoder accuracy tier.
-    pub fn with_tier(mut self, tier: AccuracyTier) -> Self {
-        self.accuracy_tier = tier;
-        self
     }
 
     /// Turbo-encoder input length (payload + 24-bit CRC).

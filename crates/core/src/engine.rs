@@ -32,11 +32,11 @@
 //! shards of [`SimulationEngine::shard_packets`] packets and lets workers
 //! pull shards from a shared atomic counter (work stealing), so a single
 //! expensive point — low SNR, many retransmissions — cannot serialize the
-//! run. Each worker keeps one storage buffer per point (rebuilt
+//! run. Each worker keeps one storage buffer set per point (rebuilt
 //! deterministically from the point's fault seed: the *same die*, per the
-//! paper's worst-case methodology) plus one [`PacketScratch`], and merges
-//! its partial statistics locally; the main thread folds worker partials
-//! in task order.
+//! paper's worst-case methodology) plus one [`PacketScratch`] per wave
+//! lane, and merges its partial statistics locally; the main thread
+//! folds worker partials in task order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -170,8 +170,7 @@ impl SimulationEngine {
     /// full-width groups, and lane draining absorbs the per-group
     /// iteration spread; sweeping widths 8..64 on the benchmark grid put
     /// 16 lanes ahead of 32 by ~5% (smaller staging footprint, same
-    /// group utilization). Batching is bit-identical to the scalar path
-    /// at every width, so it is on by default.
+    /// group utilization). Results are bit-identical at every width.
     pub const DEFAULT_BATCH: usize = 16;
 
     /// Engine using every available CPU.
@@ -210,11 +209,11 @@ impl SimulationEngine {
         self
     }
 
-    /// Overrides the decode batch width (builder style). `1` runs the
-    /// scalar per-packet path — structurally today's loop, not a 1-lane
-    /// wave; any width produces bit-identical statistics, so this is a
-    /// pure throughput knob and is deliberately *not* part of campaign
-    /// point fingerprints.
+    /// Overrides the decode batch width (builder style): the most packets
+    /// one wave decodes together. `1` runs one-lane waves. Any width
+    /// produces bit-identical statistics, so this is a pure throughput
+    /// knob and is deliberately *not* part of campaign point
+    /// fingerprints.
     ///
     /// # Panics
     ///
@@ -561,7 +560,7 @@ struct Shard {
 /// Per-thread execution state: a simulator handle, one buffer *set* per
 /// point touched (`batch_lanes` interchangeable buffers, each built by
 /// the same deterministic factory — the same die), and reusable scratch
-/// space for both the scalar path and the batched wave path.
+/// space for the wave path.
 struct Worker<'a> {
     cfg: &'a SystemConfig,
     sim: LinkSimulator,
@@ -597,7 +596,7 @@ impl<'a> Worker<'a> {
             // determinism: unordered-ok(keyed entry access only; never iterated)
             buffers: HashMap::new(),
             batch_lanes,
-            lane_scratch: vec![PacketScratch::new()],
+            lane_scratch: Vec::new(),
             rngs: Vec::new(),
             outcomes: Vec::new(),
             batch: TurboBatchScratch::new(),
@@ -605,52 +604,18 @@ impl<'a> Worker<'a> {
         }
     }
 
-    fn run_shard(&mut self, shard: &Shard) -> HarqStats {
-        if self.batch_lanes > 1 {
-            return self.run_shard_batched(shard);
-        }
-        let spec = &self.specs[shard.point];
-        let make_buffer = self.make_buffer;
-        let group = self.groups.map_or(shard.point, |g| g[shard.point]);
-        // One buffer suffices on the scalar path; the Vec keeps the
-        // cache shape shared with the batched path.
-        let set = self.buffers.entry(group).or_default();
-        if set.is_empty() {
-            let fault_seed = derive_seed(spec.seed, STREAM_FAULT_MAP);
-            set.push(make_buffer(shard.point, fault_seed));
-        }
-        let buffer = &mut set[0];
-        let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
-        for p in shard.start..shard.start + shard.count {
-            let pseed = packet_seed(spec.seed, p as u64);
-            let mut rng = StdRng::seed_from_u64(pseed);
-            buffer.begin_packet(pseed);
-            let outcome = self.sim.simulate_packet_with(
-                spec.snr_db,
-                buffer,
-                &mut rng,
-                &mut self.lane_scratch[0],
-            );
-            stats.record(outcome.success_after, self.cfg.max_transmissions);
-        }
-        telemetry::counter_add(Counter::PacketsSimulated, shard.count as u64);
-        flush_stage_nanos(&mut self.lane_scratch[0]);
-        stats
-    }
-
-    /// Batched wave path: consecutive packets of the shard fill up to
+    /// Consecutive packets of the shard fill waves of up to
     /// `batch_lanes` lanes, each against its own buffer/RNG, and decode
     /// together. Lane `l` of a wave draws the stream of absolute packet
-    /// `p + l` — the same seed-tree position as the scalar loop — and
-    /// batched decoding is bit-identical per lane, so the recorded
-    /// statistics equal the scalar path's at every width. Lanes of a
+    /// `p + l` and batched decoding is bit-identical per lane, so the
+    /// recorded statistics are the same at every width. Lanes of a
     /// group's buffer set are interchangeable: the factory is
     /// deterministic in `(point, fault_seed)` — the same die — and all
     /// per-packet buffer randomness is re-anchored through
     /// [`LlrBuffer::begin_packet`] (the property the engine's
     /// thread-invariance already rests on), so N copies behave exactly
     /// like one buffer reused serially.
-    fn run_shard_batched(&mut self, shard: &Shard) -> HarqStats {
+    fn run_shard(&mut self, shard: &Shard) -> HarqStats {
         let spec = self.specs[shard.point];
         let make_buffer = self.make_buffer;
         let group = self.groups.map_or(shard.point, |g| g[shard.point]);
@@ -794,12 +759,12 @@ mod tests {
                 .batch_lanes(lanes)
                 .run_batch(&sim, &specs)
         };
-        let scalar = run(1, 1);
+        let single = run(1, 1);
         for (threads, lanes) in [(1, 2), (1, 8), (2, 4), (4, 8), (1, 13)] {
             assert_eq!(
-                scalar,
+                single,
                 run(threads, lanes),
-                "threads={threads} lanes={lanes} must match the scalar path"
+                "threads={threads} lanes={lanes} must match one-lane waves"
             );
         }
     }

@@ -20,7 +20,6 @@ pub mod soft_errors;
 use serde::{Deserialize, Serialize};
 
 use hspa_phy::harq::{HarqStats, LlrBuffer};
-use hspa_phy::turbo::AccuracyTier;
 
 use crate::campaign::{Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint};
 use crate::engine::{CustomPoint, GridResult, PointSpec, SimulationEngine};
@@ -46,10 +45,6 @@ pub struct ExperimentBudget {
     /// [`SimulationEngine::DEFAULT_BATCH`]). Results are bit-identical
     /// for any value — like `threads`, a pure throughput knob.
     pub batch: usize,
-    /// Turbo-decoder accuracy tier applied to the figure's
-    /// [`crate::config::SystemConfig`]. Non-default tiers change
-    /// Monte-Carlo outcomes and therefore campaign fingerprints.
-    pub accuracy_tier: AccuracyTier,
 }
 
 impl ExperimentBudget {
@@ -61,7 +56,6 @@ impl ExperimentBudget {
             threads: 0,
             campaign: None,
             batch: 0,
-            accuracy_tier: AccuracyTier::Exact,
         }
     }
 
@@ -73,7 +67,6 @@ impl ExperimentBudget {
             threads: 0,
             campaign: None,
             batch: 0,
-            accuracy_tier: AccuracyTier::Exact,
         }
     }
 

@@ -3,10 +3,9 @@
 //! The turbo decoder's trellis sweeps are pure max-plus algebra over one
 //! floating type: add branch metrics, take pairwise maxima, negate for
 //! the opposite sign hypothesis. [`LlrArith`] abstracts exactly that
-//! surface so the same hand-unrolled recursions instantiate as the
-//! bit-exact `f64` reference path and as the `Fast32` single-precision
-//! tier — and, through const-generic lane arrays, as lockstep batched
-//! kernels that auto-vectorize across packets.
+//! surface so the same hand-unrolled recursions instantiate, through
+//! const-generic lane arrays, as lockstep batched kernels that
+//! auto-vectorize across packets.
 //!
 //! # The absorbing sentinel
 //!
@@ -14,16 +13,12 @@
 //! reachability flag. The sentinel must *absorb* any branch metric
 //! exactly (`NEG_INF + g == NEG_INF` for every metric magnitude the
 //! decoder can produce) so that dropping the reachability guard is a
-//! value-identical transformation:
-//!
-//! * `f64` uses `-1e300`: adding any `|g| < ~1e284` cannot change the
-//!   nearest-even rounding of a number this large.
-//! * `f32` uses `-1e30`: LLRs are clipped (|LLR| ≤ a few hundred after
-//!   HARQ combining), so metrics stay below ~1e6 and `-1e30 + g` rounds
-//!   back to `-1e30` for every `|g| < ~1e22`.
+//! value-identical transformation. `f64` uses `-1e300`: adding any
+//! `|g| < ~1e284` cannot change the nearest-even rounding of a number
+//! this large.
 
 /// The scalar arithmetic a Max-Log-MAP sweep needs, implemented by
-/// `f64` (exact tier) and `f32` (`Fast32` tier).
+/// `f64`.
 pub trait LlrArith:
     Copy
     + PartialOrd
@@ -45,12 +40,11 @@ pub trait LlrArith:
     fn from_f64(v: f64) -> Self;
     /// Widens back to `f64` for posterior reporting.
     fn to_f64(self) -> f64;
-    /// Exact multiplication by ½ (a power of two, lossless in both
-    /// precisions).
+    /// Exact multiplication by ½ (a power of two, lossless).
     fn half(self) -> Self;
     /// `max(a, b)` without NaN baggage — the max-log approximation of
     /// `ln(eᵃ + eᵇ)`. Inputs are never NaN here. Written as a
-    /// comparison+select so it compiles to `maxpd`/`maxps` in lane form.
+    /// comparison+select so it compiles to `maxpd` in lane form.
     #[inline(always)]
     fn max_star(a: Self, b: Self) -> Self {
         if b > a {
@@ -77,26 +71,6 @@ impl LlrArith for f64 {
 
     #[inline(always)]
     fn half(self) -> f64 {
-        0.5 * self
-    }
-}
-
-impl LlrArith for f32 {
-    const NEG_INF: f32 = -1e30;
-    const ZERO: f32 = 0.0;
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> f32 {
-        v as f32
-    }
-
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-
-    #[inline(always)]
-    fn half(self) -> f32 {
         0.5 * self
     }
 }
@@ -163,7 +137,7 @@ pub fn lanes_scale<T: LlrArith, const L: usize>(a: [T; L], s: T) -> [T; L] {
     out
 }
 
-/// Lane-wise max-star (`maxpd`/`maxps` when vectorized).
+/// Lane-wise max-star (`maxpd` when vectorized).
 #[inline(always)]
 pub fn lanes_max<T: LlrArith, const L: usize>(a: [T; L], b: [T; L]) -> [T; L] {
     let mut out = a;
@@ -207,17 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn f32_sentinel_absorbs_decoder_metrics() {
-        for g in [0.0f32, 1.0, -250.0, 1e6, -1e6] {
-            assert_eq!(<f32 as LlrArith>::NEG_INF + g, <f32 as LlrArith>::NEG_INF);
-        }
-    }
-
-    #[test]
     fn halving_is_exact() {
         for v in [1.0f64, 3.0, -7.25, 1e-3] {
             assert_eq!(v.half(), v * 0.5);
-            assert_eq!((v as f32).half(), v as f32 * 0.5);
         }
     }
 
@@ -246,9 +212,9 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip() {
-        let mut buf = vec![0.0f32; 12];
-        lanes_store(&mut buf, 4, [1.0f32, 2.0, 3.0, 4.0]);
-        let back: [f32; 4] = lanes_load(&buf, 4);
+        let mut buf = vec![0.0f64; 12];
+        lanes_store(&mut buf, 4, [1.0f64, 2.0, 3.0, 4.0]);
+        let back: [f64; 4] = lanes_load(&buf, 4);
         assert_eq!(back, [1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -25,119 +25,14 @@
 //! * **The backward sweep is fused with the extrinsic/posterior
 //!   accumulation**, halving trellis traversals and reducing the beta
 //!   storage from a full `(n+1) × 8` matrix to two rows.
-//! * **An optional caller-supplied stop check** (the CRC in the link
-//!   simulator) ends iteration as soon as the current hard decisions
-//!   form a valid block, skipping the second half-iteration when
-//!   decoder 1 alone already produced a valid block.
 
 use super::interleaver::TurboInterleaver;
 use super::rsc::{RSC_STATES, TAIL_BITS};
 
 const NEG_INF: f64 = -1e300;
 
-/// Optional hard-decision validity check threaded through the decode
-/// loop (the transport-block CRC in the link simulator).
-type StopCheck<'c> = Option<&'c dyn Fn(&[u8]) -> bool>;
-
 /// Default extrinsic scaling factor compensating the max-log optimism.
 pub const EXTRINSIC_SCALE: f64 = 0.75;
-
-/// Selectable accuracy/speed tiers of the turbo decoder.
-///
-/// The tier is part of every campaign point's fingerprint (stores never
-/// mix tiers) and each non-default tier pins its own golden corpus in
-/// `tests/decode_golden.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccuracyTier {
-    /// Bit-exact `f64` Max-Log-MAP with the agreement early stop — the
-    /// reference semantics every golden table and CI invariant is pinned
-    /// against. Always the default.
-    #[default]
-    Exact,
-    /// `f64` arithmetic plus the CRC-checked early stop
-    /// ([`MaxLogMapDecoder::decode_into_with_stop`]): iteration ends as
-    /// soon as the hard decisions form a CRC-valid block, skipping the
-    /// second SISO pass when decoder 1 alone converged. Faster on
-    /// marginal packets; an intermediate iteration can accept a
-    /// CRC-valid block that later iterations would walk away from, so
-    /// Monte-Carlo outcomes differ slightly from `Exact`.
-    EarlyStop,
-    /// Single-precision (`f32`) LLR arithmetic throughout the SISO
-    /// sweeps, with the agreement early stop. Halves trellis memory
-    /// traffic and doubles SIMD lane width; posteriors are widened back
-    /// to `f64` on output.
-    Fast32,
-}
-
-impl AccuracyTier {
-    /// Every tier, in fingerprint/documentation order.
-    pub const ALL: [AccuracyTier; 3] = [
-        AccuracyTier::Exact,
-        AccuracyTier::EarlyStop,
-        AccuracyTier::Fast32,
-    ];
-
-    /// Stable CLI/fingerprint token of the tier.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AccuracyTier::Exact => "exact",
-            AccuracyTier::EarlyStop => "early-stop",
-            AccuracyTier::Fast32 => "fast32",
-        }
-    }
-
-    /// Parses a CLI token (`exact`, `early-stop`/`earlystop`, `fast32`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "exact" => Some(AccuracyTier::Exact),
-            "early-stop" | "earlystop" | "early_stop" => Some(AccuracyTier::EarlyStop),
-            "fast32" | "f32" => Some(AccuracyTier::Fast32),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for AccuracyTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for AccuracyTier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| {
-            format!("unknown accuracy tier {s:?} (expected exact, early-stop or fast32)")
-        })
-    }
-}
-
-/// Iteration budget plus accuracy tier — the knobs the batched decoder
-/// ([`super::TurboCode::decode_batch`]) and the link simulator thread
-/// from the system configuration down to the SISO kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DecoderConfig {
-    /// Maximum turbo iterations (early stops may reduce the count).
-    pub iterations: usize,
-    /// Arithmetic/stopping tier.
-    pub tier: AccuracyTier,
-}
-
-impl DecoderConfig {
-    /// The reference configuration: `iterations` at the `Exact` tier.
-    pub fn exact(iterations: usize) -> Self {
-        Self {
-            iterations,
-            tier: AccuracyTier::Exact,
-        }
-    }
-
-    /// A configuration at an explicit tier.
-    pub fn new(iterations: usize, tier: AccuracyTier) -> Self {
-        Self { iterations, tier }
-    }
-}
 
 /// Decoder output: hard bits, posterior LLRs and convergence info.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -279,42 +174,6 @@ impl<'a> MaxLogMapDecoder<'a> {
         scratch: &mut TurboScratch,
         out: &mut DecodeResult,
     ) {
-        self.decode_internal(llrs, iterations, scratch, out, None);
-    }
-
-    /// [`MaxLogMapDecoder::decode_into`] with an external validity check
-    /// (typically the transport-block CRC): iteration stops as soon as
-    /// the current hard decisions satisfy `stop`, including after the
-    /// first half-iteration — when decoder 1 alone already produces a
-    /// valid block, the second SISO pass is skipped entirely.
-    ///
-    /// The returned bits are guaranteed to be the first hard-decision
-    /// vector that satisfied `stop`, or the normal
-    /// agreement/iteration-limit output when none did (identical to
-    /// `decode_into` in that case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len() != 3k + 12`.
-    pub fn decode_into_with_stop(
-        &self,
-        llrs: &[f64],
-        iterations: usize,
-        scratch: &mut TurboScratch,
-        out: &mut DecodeResult,
-        stop: &dyn Fn(&[u8]) -> bool,
-    ) {
-        self.decode_internal(llrs, iterations, scratch, out, Some(stop));
-    }
-
-    fn decode_internal(
-        &self,
-        llrs: &[f64],
-        iterations: usize,
-        scratch: &mut TurboScratch,
-        out: &mut DecodeResult,
-        stop: StopCheck<'_>,
-    ) {
         let k = self.k;
         assert_eq!(llrs.len(), 3 * k + 4 * TAIL_BITS, "LLR length mismatch");
         let sys = &llrs[0..k];
@@ -357,18 +216,6 @@ impl<'a> MaxLogMapDecoder<'a> {
                 &mut scratch.ext1,
                 &mut scratch.post1,
             );
-            if let Some(stop) = stop {
-                // CRC-checked early stop after the first half-iteration:
-                // if decoder 1 alone already yields a valid block, skip
-                // the second SISO pass (and all remaining iterations).
-                hard_decisions(&scratch.post1, &mut out.bits);
-                if stop(&out.bits) {
-                    out.llrs.clear();
-                    out.llrs.extend_from_slice(&scratch.post1);
-                    out.iterations_run = iterations_run;
-                    return;
-                }
-            }
             scratch.apriori2.clear();
             scratch
                 .apriori2
@@ -398,15 +245,6 @@ impl<'a> MaxLogMapDecoder<'a> {
                 .all(|(&a, &b)| (a >= 0.0) == (b >= 0.0));
             if agree {
                 break;
-            }
-            if let Some(stop) = stop {
-                hard_decisions(&scratch.posterior, &mut out.bits);
-                if stop(&out.bits) {
-                    out.llrs.clear();
-                    out.llrs.extend_from_slice(&scratch.posterior);
-                    out.iterations_run = iterations_run;
-                    return;
-                }
             }
         }
 
@@ -826,50 +664,5 @@ mod tests {
             let fresh = dec.decode(&llrs, 6);
             assert_eq!(out, fresh, "trial {trial}");
         }
-    }
-
-    #[test]
-    fn stop_check_skips_second_half_iteration() {
-        let k = 100;
-        let code = TurboCode::new(k).unwrap();
-        let il = code.interleaver().clone();
-        let dec = MaxLogMapDecoder::new(k, &il);
-        let mut rng = seeded(4);
-        let bits = random_bits(&mut rng, k);
-        let coded = code.encode(&bits);
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 0 { 10.0 } else { -10.0 })
-            .collect();
-        let mut scratch = TurboScratch::new();
-        let mut out = DecodeResult::new();
-        let expected = bits.clone();
-        dec.decode_into_with_stop(&llrs, 8, &mut scratch, &mut out, &|cand: &[u8]| {
-            cand == expected
-        });
-        assert_eq!(out.bits, bits);
-        assert_eq!(
-            out.iterations_run, 1,
-            "clean input must stop after decoder 1 of iteration 1"
-        );
-    }
-
-    #[test]
-    fn never_satisfied_stop_matches_plain_decode() {
-        let k = 60;
-        let code = TurboCode::new(k).unwrap();
-        let il = code.interleaver().clone();
-        let dec = MaxLogMapDecoder::new(k, &il);
-        let mut rng = seeded(9);
-        let bits = random_bits(&mut rng, k);
-        let coded = code.encode(&bits);
-        let llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| (if b == 0 { 1.5 } else { -1.5 }) + 1.1 * standard_normal(&mut rng))
-            .collect();
-        let mut scratch = TurboScratch::new();
-        let mut out = DecodeResult::new();
-        dec.decode_into_with_stop(&llrs, 8, &mut scratch, &mut out, &|_: &[u8]| false);
-        assert_eq!(out, dec.decode(&llrs, 8));
     }
 }

@@ -24,10 +24,8 @@ mod decoder;
 mod interleaver;
 mod rsc;
 
-pub use batch::{BatchStopCheck, TurboBatchScratch};
-pub use decoder::{
-    AccuracyTier, DecodeResult, DecoderConfig, MaxLogMapDecoder, TurboScratch, EXTRINSIC_SCALE,
-};
+pub use batch::TurboBatchScratch;
+pub use decoder::{DecodeResult, MaxLogMapDecoder, TurboScratch, EXTRINSIC_SCALE};
 pub use interleaver::TurboInterleaver;
 pub use rsc::{Rsc, NEXT_STATE, PARITY, RSC_STATES, TAIL_BITS};
 
@@ -170,49 +168,18 @@ impl TurboCode {
         decoder.decode_into(llrs, iterations, scratch, out);
     }
 
-    /// [`TurboCode::decode_into`] with an external validity check (the
-    /// transport-block CRC in the link simulator): iteration stops as
-    /// soon as the current hard decisions satisfy `stop`, skipping the
-    /// second SISO pass when decoder 1 alone already produced a valid
-    /// block. See [`MaxLogMapDecoder::decode_into_with_stop`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len() != coded_len()`.
-    pub fn decode_into_with_stop(
-        &self,
-        llrs: &[f64],
-        iterations: usize,
-        scratch: &mut TurboScratch,
-        out: &mut DecodeResult,
-        stop: &dyn Fn(&[u8]) -> bool,
-    ) {
-        assert_eq!(llrs.len(), self.coded_len(), "LLR length mismatch");
-        let decoder = MaxLogMapDecoder::new(self.k, &self.interleaver);
-        decoder.decode_into_with_stop(llrs, iterations, scratch, out, stop);
-    }
-
     /// Decodes every lane staged in `batch` together, in lockstep groups
-    /// of 8/4/2 lanes plus a scalar remainder, under the accuracy tier
-    /// and iteration budget in `cfg`. Lane `l`'s outputs (bits,
-    /// posterior LLR bit patterns, iteration count) are bit-identical to
-    /// the corresponding serial decode of that lane alone — the `Exact`
-    /// tier matches [`TurboCode::decode_into`], `EarlyStop` matches
-    /// [`TurboCode::decode_into_with_stop`] (the optional `stop` check
-    /// receives the lane index alongside the candidate bits), and
-    /// `Fast32` matches its own single-lane `f32` reference.
+    /// of 8/4/2 lanes plus a scalar remainder, with at most `iterations`
+    /// turbo iterations. Lane `l`'s outputs (bits, posterior LLR bit
+    /// patterns, iteration count) are bit-identical to
+    /// [`TurboCode::decode_into`] on that lane alone.
     ///
     /// # Panics
     ///
     /// Panics if `batch` was staged with a codeword length other than
     /// [`TurboCode::coded_len`].
-    pub fn decode_batch(
-        &self,
-        cfg: DecoderConfig,
-        batch: &mut TurboBatchScratch,
-        stop: BatchStopCheck<'_>,
-    ) {
-        batch::decode_batch(self.k, &self.interleaver, cfg, batch, stop);
+    pub fn decode_batch(&self, iterations: usize, batch: &mut TurboBatchScratch) {
+        batch::decode_batch(self.k, &self.interleaver, iterations, batch);
     }
 }
 

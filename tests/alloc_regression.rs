@@ -1,10 +1,10 @@
 //! Steady-state zero-allocation invariant of the packet hot path.
 //!
-//! `simulate_packet_with` is documented to perform no heap allocation
-//! once its [`PacketScratch`] is warm: every buffer in the chain —
-//! encode bit vectors, symbol/LLR vectors, the turbo trellis matrices,
-//! the MMSE design workspace, the channel realization — lives in the
-//! scratch and is reused in place. This test pins the invariant by
+//! `simulate_packet_with` (a one-lane wave) is documented to perform no
+//! heap allocation once its [`PacketScratch`] is warm: every buffer in
+//! the chain — encode bit vectors, symbol/LLR vectors, the one-lane
+//! decode workspace, the MMSE design workspace, the channel realization
+//! — lives in the scratch and is reused in place. This test pins the invariant by
 //! snapshotting the capacity of every reachable heap buffer
 //! ([`PacketScratch::heap_capacities`]) after a warm-up packet and
 //! asserting that further packets never grow any of them. A regression
@@ -77,23 +77,6 @@ fn paper_config_chain_is_allocation_free_after_warmup() {
     assert_steady_state(cfg, &storage, 12.0, "paper/hybrid4msb");
 }
 
-#[test]
-fn earlystop_tier_is_allocation_free_after_warmup() {
-    let cfg = SystemConfig::fast_test().with_tier(hspa_phy::turbo::AccuracyTier::EarlyStop);
-    let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
-    assert_steady_state(cfg, &storage, 2.0, "earlystop/faulty10");
-}
-
-#[test]
-fn fast32_tier_is_allocation_free_after_warmup() {
-    // Fast32 routes the scalar per-packet path through a one-lane
-    // `TurboBatchScratch`, whose buffers `PacketScratch::heap_capacities`
-    // now reports — this pins the f32 lane storage too.
-    let cfg = SystemConfig::fast_test().with_tier(hspa_phy::turbo::AccuracyTier::Fast32);
-    let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
-    assert_steady_state(cfg, &storage, 2.0, "fast32/faulty10");
-}
-
 /// The batched wave path: after one warm wave, further waves must not
 /// grow any heap buffer — per-lane `PacketScratch`es, the shared
 /// `TurboBatchScratch` (SoA trellis + staging + per-lane outputs), or
@@ -103,76 +86,74 @@ fn batched_wave_path_is_allocation_free_after_warmup() {
     use resilience_core::simulator::{PacketOutcome, WaveScratch};
 
     const LANES: usize = 8;
-    for tier in hspa_phy::turbo::AccuracyTier::ALL {
-        let cfg = SystemConfig::fast_test().with_tier(tier);
-        let sim = LinkSimulator::new(cfg);
-        let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
-        let mut buffers: Vec<_> = (0..LANES)
-            .map(|l| build_buffer(&cfg, &storage, 7 + l as u64))
+    let cfg = SystemConfig::fast_test();
+    let sim = LinkSimulator::new(cfg);
+    let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
+    let mut buffers: Vec<_> = (0..LANES)
+        .map(|l| build_buffer(&cfg, &storage, 7 + l as u64))
+        .collect();
+    let mut scratches: Vec<PacketScratch> = (0..LANES).map(|_| PacketScratch::new()).collect();
+    let mut batch = hspa_phy::turbo::TurboBatchScratch::new();
+    let mut wave = WaveScratch::new();
+    let mut out = vec![PacketOutcome::default(); LANES];
+
+    let capacities = |scratches: &[PacketScratch],
+                      batch: &hspa_phy::turbo::TurboBatchScratch,
+                      wave: &WaveScratch| {
+        let mut caps: Vec<usize> = Vec::new();
+        for s in scratches {
+            caps.extend(s.heap_capacities());
+        }
+        batch.heap_capacities(&mut caps);
+        wave.heap_capacities(&mut caps);
+        caps
+    };
+
+    let run_wave = |wave_idx: u64,
+                    buffers: &mut [Box<dyn hspa_phy::harq::LlrBuffer + Send>],
+                    scratches: &mut [PacketScratch],
+                    batch: &mut hspa_phy::turbo::TurboBatchScratch,
+                    wave: &mut WaveScratch,
+                    out: &mut [PacketOutcome]| {
+        let mut rngs: Vec<rand::rngs::StdRng> = (0..LANES)
+            .map(|l| {
+                let pseed = dsp::rng::packet_seed(3, wave_idx * LANES as u64 + l as u64);
+                buffers[l].begin_packet(pseed);
+                rand::rngs::StdRng::seed_from_u64(pseed)
+            })
             .collect();
-        let mut scratches: Vec<PacketScratch> = (0..LANES).map(|_| PacketScratch::new()).collect();
-        let mut batch = hspa_phy::turbo::TurboBatchScratch::new();
-        let mut wave = WaveScratch::new();
-        let mut out = vec![PacketOutcome::default(); LANES];
+        sim.simulate_wave_with(2.0, buffers, &mut rngs, scratches, batch, wave, out);
+    };
 
-        let capacities = |scratches: &[PacketScratch],
-                          batch: &hspa_phy::turbo::TurboBatchScratch,
-                          wave: &WaveScratch| {
-            let mut caps: Vec<usize> = Vec::new();
-            for s in scratches {
-                caps.extend(s.heap_capacities());
-            }
-            batch.heap_capacities(&mut caps);
-            wave.heap_capacities(&mut caps);
-            caps
-        };
-
-        let run_wave = |wave_idx: u64,
-                        buffers: &mut [Box<dyn hspa_phy::harq::LlrBuffer + Send>],
-                        scratches: &mut [PacketScratch],
-                        batch: &mut hspa_phy::turbo::TurboBatchScratch,
-                        wave: &mut WaveScratch,
-                        out: &mut [PacketOutcome]| {
-            let mut rngs: Vec<rand::rngs::StdRng> = (0..LANES)
-                .map(|l| {
-                    let pseed = dsp::rng::packet_seed(3, wave_idx * LANES as u64 + l as u64);
-                    buffers[l].begin_packet(pseed);
-                    rand::rngs::StdRng::seed_from_u64(pseed)
-                })
-                .collect();
-            sim.simulate_wave_with(2.0, buffers, &mut rngs, scratches, batch, wave, out);
-        };
-
-        for w in 0..4u64 {
-            run_wave(
-                w,
-                &mut buffers,
-                &mut scratches,
-                &mut batch,
-                &mut wave,
-                &mut out,
-            );
-        }
-        let warm = capacities(&scratches, &batch, &wave);
-        assert!(
-            warm.iter().any(|&c| c > 0),
-            "{tier}: wave scratch should own warm buffers"
+    for w in 0..4u64 {
+        run_wave(
+            w,
+            &mut buffers,
+            &mut scratches,
+            &mut batch,
+            &mut wave,
+            &mut out,
         );
-        for w in 4..10u64 {
-            run_wave(
-                w,
-                &mut buffers,
-                &mut scratches,
-                &mut batch,
-                &mut wave,
-                &mut out,
-            );
-            assert_eq!(
-                warm,
-                capacities(&scratches, &batch, &wave),
-                "{tier}: a wave-path buffer grew after warm-up (wave {w}) — \
-                 the batched steady-state zero-allocation invariant is broken"
-            );
-        }
+    }
+    let warm = capacities(&scratches, &batch, &wave);
+    assert!(
+        warm.iter().any(|&c| c > 0),
+        "wave scratch should own warm buffers"
+    );
+    for w in 4..10u64 {
+        run_wave(
+            w,
+            &mut buffers,
+            &mut scratches,
+            &mut batch,
+            &mut wave,
+            &mut out,
+        );
+        assert_eq!(
+            warm,
+            capacities(&scratches, &batch, &wave),
+            "a wave-path buffer grew after warm-up (wave {w}) — \
+             the batched steady-state zero-allocation invariant is broken"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! lane, to N independent scalar decodes — hard decisions, the raw
 //! `f64` bit patterns of every posterior LLR, and the per-lane
 //! iteration counts all must match exactly, for random block lengths,
-//! random noise, random injected fault patterns, and every tier.
+//! random noise, random injected fault patterns and every batch width
+//! from a lone lane upwards.
 //!
 //! This is the contract that lets the engine turn batching on by
 //! default: a batched campaign must be indistinguishable from an
@@ -10,10 +11,7 @@
 
 use proptest::prelude::*;
 
-use hspa_phy::turbo::{
-    AccuracyTier, DecodeResult, DecoderConfig, MaxLogMapDecoder, TurboBatchScratch, TurboCode,
-    TurboScratch,
-};
+use hspa_phy::turbo::{DecodeResult, MaxLogMapDecoder, TurboBatchScratch, TurboCode, TurboScratch};
 
 /// BPSK/AWGN LLRs with a crude injected fault pattern: a slice of the
 /// positions (chosen by `fault_seed`) gets its LLR sign flipped and
@@ -56,7 +54,6 @@ struct Lane {
     reference: DecodeResult,
 }
 
-#[allow(clippy::type_complexity)]
 fn build_lanes(
     code: &TurboCode,
     lanes: usize,
@@ -64,7 +61,6 @@ fn build_lanes(
     seed: u64,
     fault_pct: u8,
     iterations: usize,
-    stop: Option<&dyn Fn(&[u8]) -> bool>,
 ) -> Vec<Lane> {
     let mut scratch = TurboScratch::new();
     (0..lanes)
@@ -75,12 +71,7 @@ fn build_lanes(
             let coded = code.encode(&bits);
             let llrs = corrupted_llrs(&coded, snr_db, lseed ^ 0x5eed, lseed ^ 0xfa17, fault_pct);
             let mut reference = DecodeResult::new();
-            match stop {
-                None => code.decode_into(&llrs, iterations, &mut scratch, &mut reference),
-                Some(f) => {
-                    code.decode_into_with_stop(&llrs, iterations, &mut scratch, &mut reference, f)
-                }
-            }
+            code.decode_into(&llrs, iterations, &mut scratch, &mut reference);
             Lane { llrs, reference }
         })
         .collect()
@@ -108,7 +99,7 @@ fn assert_lane_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Exact tier: batched == N independent scalar `decode_into` calls.
+    /// Batched == N independent scalar `decode_into` calls.
     #[test]
     fn batched_exact_equals_scalar_lanes(
         k in 40usize..400,
@@ -119,87 +110,15 @@ proptest! {
         iterations in 1usize..8,
     ) {
         let code = TurboCode::new(k).expect("valid k");
-        let lane_data = build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, iterations, None);
+        let lane_data = build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, iterations);
         let mut batch = TurboBatchScratch::new();
         batch.begin_batch(code.coded_len());
         for lane in &lane_data {
             batch.push_lane(&lane.llrs);
         }
-        code.decode_batch(DecoderConfig::new(iterations, AccuracyTier::Exact), &mut batch, None);
+        code.decode_batch(iterations, &mut batch);
         for (i, lane) in lane_data.iter().enumerate() {
             assert_lane_identical(&batch, i, lane)?;
-        }
-    }
-
-    /// EarlyStop tier: batched (with a per-lane stop callback) == N
-    /// scalar `decode_into_with_stop` calls using the same predicate.
-    #[test]
-    fn batched_earlystop_equals_scalar_lanes(
-        k in 40usize..300,
-        lanes in 1usize..10,
-        snr_x10 in -40i32..35,
-        seed in 0u64..u64::MAX,
-        fault_pct in 0u8..25,
-    ) {
-        // A deterministic stand-in for the CRC: accept when the bit sum
-        // is divisible by 3. Arbitrary, but identical on both paths —
-        // what is under test is the stop *plumbing*, not the predicate.
-        let stop = |bits: &[u8]| bits.iter().map(|&b| b as u32).sum::<u32>() % 3 == 0;
-        let code = TurboCode::new(k).expect("valid k");
-        let lane_data = build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, 8, Some(&stop));
-        let mut batch = TurboBatchScratch::new();
-        batch.begin_batch(code.coded_len());
-        for lane in &lane_data {
-            batch.push_lane(&lane.llrs);
-        }
-        code.decode_batch(
-            DecoderConfig::new(8, AccuracyTier::EarlyStop),
-            &mut batch,
-            Some(&|_lane, bits: &[u8]| stop(bits)),
-        );
-        for (i, lane) in lane_data.iter().enumerate() {
-            assert_lane_identical(&batch, i, lane)?;
-        }
-    }
-
-    /// Fast32 tier: an N-lane batch equals N one-lane batches — the f32
-    /// kernel has no separate scalar implementation, so one-lane batches
-    /// are its reference semantics (and are themselves pinned by the
-    /// `GOLDEN_DECODES_FAST32` table in `decode_golden.rs`).
-    #[test]
-    fn batched_fast32_equals_single_lane_batches(
-        k in 40usize..300,
-        lanes in 2usize..10,
-        snr_x10 in -40i32..35,
-        seed in 0u64..u64::MAX,
-        fault_pct in 0u8..25,
-    ) {
-        let cfg = DecoderConfig::new(8, AccuracyTier::Fast32);
-        let code = TurboCode::new(k).expect("valid k");
-        // Reuse build_lanes for input generation only; the f64 scalar
-        // reference it computes is ignored here.
-        let lane_data = build_lanes(&code, lanes, snr_x10 as f64 / 10.0, seed, fault_pct, 8, None);
-        let mut batch = TurboBatchScratch::new();
-        batch.begin_batch(code.coded_len());
-        for lane in &lane_data {
-            batch.push_lane(&lane.llrs);
-        }
-        code.decode_batch(cfg, &mut batch, None);
-        let mut single = TurboBatchScratch::new();
-        for (i, lane) in lane_data.iter().enumerate() {
-            single.begin_batch(code.coded_len());
-            single.push_lane(&lane.llrs);
-            code.decode_batch(cfg, &mut single, None);
-            prop_assert_eq!(batch.bits(i), single.bits(0), "fast32 bits, lane {}", i);
-            prop_assert_eq!(
-                batch.iterations_run(i),
-                single.iterations_run(0),
-                "fast32 iterations, lane {}",
-                i
-            );
-            let wide: Vec<u64> = batch.llrs(i).iter().map(|l| l.to_bits()).collect();
-            let narrow: Vec<u64> = single.llrs(0).iter().map(|l| l.to_bits()).collect();
-            prop_assert_eq!(wide, narrow, "fast32 LLR bit patterns, lane {}", i);
         }
     }
 }

@@ -105,65 +105,6 @@ fn decoder_outputs_match_pre_refactor_goldens() {
     }
 }
 
-/// Fast32 decoder-level goldens: the f32 LLR path through a one-lane
-/// `TurboBatchScratch`. Same tuple layout as `GOLDEN_DECODES`; the hash
-/// folds the widened-`f64` bit patterns of the f32 posteriors, so the
-/// exact f32 arithmetic is pinned — not a rounded view of it. Generated
-/// by `golden-gen` when the tier shipped; regenerate with that binary on
-/// any intentional change to the f32 kernel.
-const GOLDEN_DECODES_FAST32: &[(usize, i32, u64, usize, u64, usize)] = &[
-    (40, -45, 1285, 8, 0x78bff048349e4bcd, 6),
-    (40, -20, 1260, 8, 0xd23979f6967ec253, 2),
-    (40, 0, 1240, 8, 0x71e32fe47f497a8e, 1),
-    (40, 15, 1255, 8, 0xcc4206bfddfed6c2, 1),
-    (40, 40, 1280, 8, 0x33572a7764d3a5ba, 1),
-    (120, -45, 3765, 8, 0x2b105ff05d11e571, 2),
-    (120, -20, 3740, 8, 0x3f6a80b9fd4fb3e5, 2),
-    (120, 0, 3720, 8, 0x145b2c4cbef7bab5, 1),
-    (120, 15, 3735, 8, 0x430bdb1114beecf7, 1),
-    (120, 40, 3760, 8, 0x837287ffd33f91b5, 1),
-    (624, -45, 19389, 8, 0xbb30cebf9cb15ba2, 8),
-    (624, -20, 19364, 8, 0xd5f602b84c7b8deb, 2),
-    (624, 0, 19344, 8, 0x248d23a6dd7787ed, 1),
-    (624, 15, 19359, 8, 0x653724fe8f9d5136, 1),
-    (624, 40, 19384, 8, 0x91ccb57d317f220c, 1),
-    (1000, -45, 31045, 8, 0xe3450906967c06f1, 8),
-    (1000, -20, 31020, 8, 0x6672a0a5b592d029, 2),
-    (1000, 0, 31000, 8, 0x36716f973ee8cd82, 1),
-    (1000, 15, 31015, 8, 0x666fa7a6a46f84b9, 1),
-    (1000, 40, 31040, 8, 0x8693fcc364741785, 1),
-];
-
-#[test]
-fn fast32_decoder_outputs_match_goldens() {
-    use hspa_phy::turbo::{AccuracyTier, DecoderConfig, TurboBatchScratch};
-    let mut batch = TurboBatchScratch::new();
-    for &(k, snr_x10, seed, iterations, want_hash, want_iters) in GOLDEN_DECODES_FAST32 {
-        let code = hspa_phy::turbo::TurboCode::new(k).expect("valid k");
-        let mut rng = dsp::rng::seeded(seed);
-        let bits = dsp::rng::random_bits(&mut rng, k);
-        let coded = code.encode(&bits);
-        let llrs = noisy_llrs(&coded, snr_x10 as f64 / 10.0, seed ^ 0x5eed);
-        batch.begin_batch(llrs.len());
-        batch.push_lane(&llrs);
-        code.decode_batch(
-            DecoderConfig::new(iterations, AccuracyTier::Fast32),
-            &mut batch,
-            None,
-        );
-        assert_eq!(
-            hash_decode(batch.bits(0), batch.llrs(0)),
-            want_hash,
-            "fast32 decoder output diverged: k={k} snr_x10={snr_x10}"
-        );
-        assert_eq!(
-            batch.iterations_run(0),
-            want_iters,
-            "fast32 iteration count diverged: k={k} snr_x10={snr_x10}"
-        );
-    }
-}
-
 #[test]
 fn scratch_decode_matches_fresh_decode_on_corpus() {
     // The `_into` path with one long-lived scratch must equal the
@@ -288,146 +229,6 @@ fn corpus_storage(st_name: &str, cfg: &SystemConfig) -> StorageConfig {
     }
 }
 
-/// EarlyStop link-level goldens (CRC-gated iteration stop). Same layout
-/// as `GOLDEN_OUTCOMES` over a reduced channel × storage slice. The CRC
-/// stop can only *reduce* iterations, never flip a decodable block to a
-/// failure, so most hashes coincide with Exact — the divergent faulty
-/// cases are exactly where an early stop froze a block Exact would have
-/// polished further.
-const GOLDEN_OUTCOMES_EARLYSTOP: &[(&str, &str, &str, i32, u64, u64)] = &[
-    ("fast", "awgn", "perfect", 20, 6, 0x229e212455230c4d),
-    ("fast", "awgn", "perfect", 80, 6, 0x49be60fc79a8cf41),
-    ("fast", "awgn", "perfect", 200, 6, 0x49be60fc79a8cf41),
-    ("fast", "awgn", "faulty10", 20, 6, 0xd9f734f085219ef5),
-    ("fast", "awgn", "faulty10", 80, 6, 0x87e4c3356df2df55),
-    ("fast", "awgn", "faulty10", 200, 6, 0x49be60fc79a8cf41),
-    ("fast", "veha", "perfect", 20, 6, 0xd1fce184594bbc1d),
-    ("fast", "veha", "perfect", 80, 6, 0xfc4a1ca68389c3ad),
-    ("fast", "veha", "perfect", 200, 6, 0x471b534a13c8c9df),
-    ("fast", "veha", "faulty10", 20, 6, 0xd9f734f085219ef5),
-    ("fast", "veha", "faulty10", 80, 6, 0x6874abcb24c7a1f1),
-    ("fast", "veha", "faulty10", 200, 6, 0xe4f498bf8b216625),
-];
-
-/// Fast32 link-level goldens. Packet *outcomes* (success / transmission
-/// counts) are coarse enough that f32 posteriors agree with f64 on this
-/// slice — the f32 arithmetic itself is pinned bit-exactly by
-/// `GOLDEN_DECODES_FAST32` above.
-const GOLDEN_OUTCOMES_FAST32: &[(&str, &str, &str, i32, u64, u64)] = &[
-    ("fast", "awgn", "perfect", 20, 6, 0x229e212455230c4d),
-    ("fast", "awgn", "perfect", 80, 6, 0x49be60fc79a8cf41),
-    ("fast", "awgn", "perfect", 200, 6, 0x49be60fc79a8cf41),
-    ("fast", "awgn", "faulty10", 20, 6, 0xd9f734f085219ef5),
-    ("fast", "awgn", "faulty10", 80, 6, 0x29c271638f720f45),
-    ("fast", "awgn", "faulty10", 200, 6, 0x49be60fc79a8cf41),
-    ("fast", "veha", "perfect", 20, 6, 0xd1fce184594bbc1d),
-    ("fast", "veha", "perfect", 80, 6, 0xfc4a1ca68389c3ad),
-    ("fast", "veha", "perfect", 200, 6, 0x471b534a13c8c9df),
-    ("fast", "veha", "faulty10", 20, 6, 0xd9f734f085219ef5),
-    ("fast", "veha", "faulty10", 80, 6, 0x6874abcb24c7a1f1),
-    ("fast", "veha", "faulty10", 200, 6, 0xe4f498bf8b216625),
-];
-
-/// Runs one tier's link-level table through the scalar per-packet path
-/// and checks every hash.
-fn check_tiered_outcomes(
-    tier: hspa_phy::turbo::AccuracyTier,
-    table: &[(&str, &str, &str, i32, u64, u64)],
-) {
-    for &(cfg_name, ch_name, st_name, snr_x10, packets, want) in table {
-        let cfg = corpus_config(cfg_name, ch_name).with_tier(tier);
-        let sim = LinkSimulator::new(cfg);
-        let storage = corpus_storage(st_name, &cfg);
-        let seed = fnv1a(
-            format!("{cfg_name}/{ch_name}/{st_name}/{snr_x10}").bytes(),
-            FNV_OFFSET,
-        );
-        let mut buffer = build_buffer(&cfg, &storage, seed ^ 0xd1e);
-        let mut scratch = PacketScratch::new();
-        let mut h = FNV_OFFSET;
-        for p in 0..packets {
-            let pseed = dsp::rng::packet_seed(seed, p);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(pseed);
-            buffer.begin_packet(pseed);
-            let out = sim.simulate_packet_with(
-                snr_x10 as f64 / 10.0,
-                &mut buffer,
-                &mut rng,
-                &mut scratch,
-            );
-            h = fnv1a(
-                [
-                    out.success_after.map_or(0, |t| t as u8),
-                    out.transmissions_used as u8,
-                ],
-                h,
-            );
-        }
-        assert_eq!(
-            h, want,
-            "{tier} outcomes diverged: {cfg_name}/{ch_name}/{st_name}/{snr_x10}"
-        );
-    }
-}
-
-#[test]
-fn earlystop_outcomes_match_goldens() {
-    check_tiered_outcomes(
-        hspa_phy::turbo::AccuracyTier::EarlyStop,
-        GOLDEN_OUTCOMES_EARLYSTOP,
-    );
-}
-
-#[test]
-fn fast32_outcomes_match_goldens() {
-    check_tiered_outcomes(
-        hspa_phy::turbo::AccuracyTier::Fast32,
-        GOLDEN_OUTCOMES_FAST32,
-    );
-}
-
-/// Every tier must produce identical aggregate statistics at 1, 2 and 8
-/// worker threads, batched (engine default) and unbatched. The 1-thread
-/// unbatched run goes through `simulate_packet_with`, which the tier
-/// golden tables above pin — so this closes the chain from "engine at
-/// any thread count / batch width" back to the committed goldens.
-#[test]
-fn tiered_engine_results_are_thread_and_batch_invariant() {
-    use resilience_core::engine::{PointSpec, SimulationEngine};
-    for tier in hspa_phy::turbo::AccuracyTier::ALL {
-        let cfg = SystemConfig::fast_test().with_tier(tier);
-        let sim = LinkSimulator::new(cfg);
-        let specs = [
-            PointSpec {
-                storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
-                snr_db: 8.0,
-                n_packets: 11,
-                seed: 0x670,
-            },
-            PointSpec {
-                storage: StorageConfig::Perfect,
-                snr_db: 14.0,
-                n_packets: 7,
-                seed: 99,
-            },
-        ];
-        let run = |threads: usize, lanes: usize| {
-            SimulationEngine::with_threads(threads)
-                .shard_packets(4)
-                .batch_lanes(lanes)
-                .run_batch(&sim, &specs)
-        };
-        let reference = run(1, 1);
-        for (threads, lanes) in [(1, 8), (2, 8), (8, 8), (2, 1)] {
-            assert_eq!(
-                reference,
-                run(threads, lanes),
-                "{tier}: threads={threads} lanes={lanes} diverged from scalar"
-            );
-        }
-    }
-}
-
 #[test]
 fn packet_outcomes_match_pre_refactor_goldens() {
     for &(cfg_name, ch_name, st_name, snr_x10, packets, want) in GOLDEN_OUTCOMES {
@@ -462,6 +263,46 @@ fn packet_outcomes_match_pre_refactor_goldens() {
         assert_eq!(
             h, want,
             "packet outcomes diverged: {cfg_name}/{ch_name}/{st_name}/{snr_x10}"
+        );
+    }
+}
+
+/// The engine must produce identical aggregate statistics at 1, 2 and 8
+/// worker threads and at every batch width. `simulate_packet_with` is a
+/// one-lane wave, which `GOLDEN_OUTCOMES` pins — so this closes the
+/// chain from "engine at any thread count / batch width" back to the
+/// committed goldens.
+#[test]
+fn engine_results_are_thread_and_batch_invariant() {
+    use resilience_core::engine::{PointSpec, SimulationEngine};
+    let cfg = SystemConfig::fast_test();
+    let sim = LinkSimulator::new(cfg);
+    let specs = [
+        PointSpec {
+            storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
+            snr_db: 8.0,
+            n_packets: 11,
+            seed: 0x670,
+        },
+        PointSpec {
+            storage: StorageConfig::Perfect,
+            snr_db: 14.0,
+            n_packets: 7,
+            seed: 99,
+        },
+    ];
+    let run = |threads: usize, lanes: usize| {
+        SimulationEngine::with_threads(threads)
+            .shard_packets(4)
+            .batch_lanes(lanes)
+            .run_batch(&sim, &specs)
+    };
+    let reference = run(1, 1);
+    for (threads, lanes) in [(1, 8), (2, 8), (8, 8), (2, 1)] {
+        assert_eq!(
+            reference,
+            run(threads, lanes),
+            "threads={threads} lanes={lanes} diverged from one-lane waves"
         );
     }
 }
