@@ -347,8 +347,8 @@ fn main() {
         seg_open * 1e3
     );
 
-    // Machine-readable trajectory for future PRs. Hand-formatted JSON:
-    // the offline serde shim intentionally has no serializer.
+    // Machine-readable trajectory for future PRs, hand-formatted JSON
+    // (the workspace has no serializer dependency).
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"engine_grid\",");
     let _ = writeln!(json, "  \"packets_per_point\": {packets_per_point},");

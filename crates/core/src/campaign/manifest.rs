@@ -9,13 +9,13 @@
 //! expected to partition points by walking this manifest.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use super::controller::CampaignSettings;
 use super::shard::ShardSpec;
-use super::store::{json_bool_field, json_f64_field, json_str_field, json_u64_field, BackendKind};
+use super::store::BackendKind;
 use super::PointOutcome;
+use crate::json::{self, Value};
 
 /// One point entry of the manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +78,12 @@ impl PointRecord {
     /// constant `"tier": "exact"` field keeps manifests byte-identical
     /// to those written when the decoder had several accuracy tiers.
     fn render(&self) -> String {
+        let mut label = String::new();
+        json::write_str(&mut label, &self.label);
         format!(
-            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": \"{}\", \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"exact\"}}",
+            "{{\"index\": {}, \"key\": \"{:016x}\", \"label\": {label}, \"snr_db\": {}, \"packets\": {}, \"max\": {}, \"bler\": {:.6}, \"ci_lo\": {:.6}, \"ci_hi\": {:.6}, \"rel_hw\": {:.4}, \"converged\": {}, \"chunks\": {}, \"chunks_store\": {}, \"packets_store\": {}, \"tier\": \"exact\"}}",
             self.index,
             self.key,
-            self.label.replace('"', "'"),
             self.snr_db,
             self.packets,
             self.max_packets,
@@ -107,39 +108,37 @@ impl PointRecord {
     /// re-renders parsed records and the merged manifest must be
     /// byte-identical to a single-host run's.
     pub fn parse(line: &str) -> Option<Self> {
-        let line = line.trim().trim_end_matches(',');
-        // The label is the only string field that may contain commas,
-        // so field scanning is done on the text after its closing quote
-        // (labels never contain '"': render maps embedded quotes to ').
-        let tag = "\"label\": \"";
-        let lstart = line.find(tag)? + tag.len();
-        let lend = lstart + line[lstart..].find('"')?;
-        let label = line[lstart..lend].to_string();
-        let head = &line[..lstart];
-        let rest = &line[lend..];
+        Self::from_json(&json::parse(line.trim().trim_end_matches(',')).ok()?)
+    }
+
+    /// Reads one parsed point object; `None` when a field is missing or
+    /// mistyped, or the tier is not `"exact"`.
+    fn from_json(point: &Value) -> Option<Self> {
         // Manifests written before the tier field existed have none.
-        if rest.contains("\"tier\":") && json_str_field(rest, "tier").as_deref() != Some("exact") {
+        if point
+            .get("tier")
+            .is_some_and(|t| t.as_str() != Some("exact"))
+        {
             return None;
         }
+        let u = |name: &str| point.get(name).and_then(Value::as_u64);
+        let f = |name: &str| point.get(name).and_then(Value::as_f64);
         Some(Self {
-            index: json_u64_field(head, "index")?,
-            key: u64::from_str_radix(&json_str_field(head, "key")?, 16).ok()?,
-            label,
-            snr_db: json_f64_field(rest, "snr_db")?,
-            packets: json_u64_field(rest, "packets")? as usize,
-            max_packets: json_u64_field(rest, "max")? as usize,
-            bler: json_f64_field(rest, "bler")?,
-            ci: (
-                json_f64_field(rest, "ci_lo")?,
-                json_f64_field(rest, "ci_hi")?,
-            ),
-            rel_half_width: json_f64_field(rest, "rel_hw")?,
-            converged: json_bool_field(rest, "converged")?,
-            chunks: json_u64_field(rest, "chunks")? as usize,
-            chunks_from_store: json_u64_field(rest, "chunks_store")? as usize,
+            index: u("index")?,
+            key: u64::from_str_radix(point.get("key")?.as_str()?, 16).ok()?,
+            label: point.get("label")?.as_str()?.to_owned(),
+            snr_db: f("snr_db")?,
+            packets: u("packets")? as usize,
+            max_packets: u("max")? as usize,
+            bler: f("bler")?,
+            ci: (f("ci_lo")?, f("ci_hi")?),
+            rel_half_width: f("rel_hw")?,
+            converged: point.get("converged")?.as_bool()?,
+            chunks: u("chunks")? as usize,
+            chunks_from_store: u("chunks_store")? as usize,
             // Lenient: manifests written before the field existed parse
             // as zero (the merge then re-renders them with it).
-            packets_from_store: json_u64_field(rest, "packets_store").unwrap_or(0) as usize,
+            packets_from_store: u("packets_store").unwrap_or(0) as usize,
         })
     }
 }
@@ -176,8 +175,9 @@ impl Manifest {
         ManifestTotals::over(self.points.iter())
     }
 
-    /// Renders the manifest as pretty-printed JSON (hand-formatted; the
-    /// offline serde shim has no serializer).
+    /// Renders the manifest as pretty-printed JSON. The format strings
+    /// are the byte contract (manifest digests, byte-identical merges);
+    /// string values go through [`json::write_str`].
     ///
     /// The `"shard"` line appears only in per-shard manifests, so a
     /// merged manifest (shard cleared) can be byte-identical to a
@@ -185,7 +185,9 @@ impl Manifest {
     pub fn render_json(&self) -> String {
         let t = self.totals();
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"campaign\": \"{}\",\n", self.name));
+        out.push_str("  \"campaign\": ");
+        json::write_str(&mut out, &self.name);
+        out.push_str(",\n");
         out.push_str(&format!(
             "  \"settings\": {{\"precision\": {}, \"bler_floor\": {}, \"initial_chunk\": {}, \"target_ci\": {}}},\n",
             self.settings.precision,
@@ -241,35 +243,31 @@ impl Manifest {
     /// [`Manifest::render_json`] (the store-side `resume` knob is not
     /// part of the rendered identity and comes back as its default).
     pub fn parse(json: &str) -> Option<Self> {
-        let name = json_str_field(json, "campaign")?;
-        let shard = match json_str_field(json, "shard") {
-            Some(s) => s.parse::<ShardSpec>().ok()?,
+        let doc = json::parse(json).ok()?;
+        let settings = doc.get("settings")?;
+        let f = |name: &str| settings.get(name).and_then(Value::as_f64);
+        let shard = match doc.get("shard") {
+            Some(s) => s.as_str()?.parse::<ShardSpec>().ok()?,
             None => ShardSpec::single(),
         };
-        let settings = CampaignSettings {
-            precision: json_f64_field(json, "precision")?,
-            bler_floor: json_f64_field(json, "bler_floor")?,
-            initial_chunk: json_u64_field(json, "initial_chunk")? as usize,
-            target_ci: json_f64_field(json, "target_ci")?,
-            shard,
-            resume: true,
-            backend: BackendKind::default(),
-        };
-        let points_enumerated = json_u64_field(json, "points_enumerated")?;
-        let body = &json[json.find("\"points\": [")?..];
-        let mut points = Vec::new();
-        for line in body.lines().skip(1) {
-            let line = line.trim();
-            if line.starts_with(']') {
-                break;
-            }
-            points.push(PointRecord::parse(line)?);
-        }
         Some(Self {
-            name,
-            settings,
-            points_enumerated,
-            points,
+            name: doc.get("campaign")?.as_str()?.to_owned(),
+            settings: CampaignSettings {
+                precision: f("precision")?,
+                bler_floor: f("bler_floor")?,
+                initial_chunk: settings.get("initial_chunk")?.as_u64()? as usize,
+                target_ci: f("target_ci")?,
+                shard,
+                resume: true,
+                backend: BackendKind::default(),
+            },
+            points_enumerated: doc.get("points_enumerated")?.as_u64()?,
+            points: doc
+                .get("points")?
+                .as_array()?
+                .iter()
+                .map(PointRecord::from_json)
+                .collect::<Option<_>>()?,
         })
     }
 
@@ -284,15 +282,11 @@ impl Manifest {
         })
     }
 
-    /// Writes the manifest to `path` (atomically enough for a summary:
-    /// write then rename is overkill here — a torn manifest only affects
-    /// human-facing reporting, never simulation results).
+    /// Writes the manifest to `path` atomically (temp file + rename):
+    /// `campaign-admin merge` parses shard manifests, so a reader must
+    /// never see a torn one.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let mut f = fs::File::create(path)?;
-        f.write_all(self.render_json().as_bytes())
+        crate::atomic_write(path, self.render_json().as_bytes())
     }
 }
 
@@ -373,21 +367,21 @@ pub struct ManifestSummary {
 /// missing or malformed.
 pub fn read_summary(path: &Path) -> Option<ManifestSummary> {
     let json = fs::read_to_string(path).ok()?;
-    // The totals field names occur exactly once, before the points
-    // array, so the flat field scanners from the store module apply.
+    let doc = json::parse(&json).ok()?;
+    let u = |name: &str| doc.get(name).and_then(Value::as_u64);
+    doc.get("saved_vs_fixed")?.as_f64()?;
     Some(ManifestSummary {
-        name: json_str_field(&json, "campaign")?,
+        name: doc.get("campaign")?.as_str()?.to_owned(),
         totals: ManifestTotals {
-            points_total: json_u64_field(&json, "points_total")?,
-            points_converged: json_u64_field(&json, "points_converged")?,
-            total_chunks: json_u64_field(&json, "total_chunks")?,
-            store_chunks: json_u64_field(&json, "store_chunks")?,
-            store_packets: json_u64_field(&json, "store_packets").unwrap_or(0),
-            realized_packets: json_u64_field(&json, "realized_packets")?,
-            budget_packets: json_u64_field(&json, "budget_packets")?,
+            points_total: u("points_total")?,
+            points_converged: u("points_converged")?,
+            total_chunks: u("total_chunks")?,
+            store_chunks: u("store_chunks")?,
+            store_packets: u("store_packets").unwrap_or(0),
+            realized_packets: u("realized_packets")?,
+            budget_packets: u("budget_packets")?,
         },
     })
-    .filter(|_| json_f64_field(&json, "saved_vs_fixed").is_some())
 }
 
 #[cfg(test)]
@@ -471,12 +465,77 @@ mod tests {
     fn full_parse_round_trips_to_identical_bytes() {
         // The shard merge re-renders parsed manifests, so
         // render → parse → render must be a byte-level fixed point —
-        // including awkward labels (commas, %, @) and float fields.
+        // including float fields and awkward labels and campaign names
+        // (quotes, backslashes, newlines, control and non-ASCII
+        // characters, commas, %, @).
+        for s in json::awkward_strings().into_iter().chain(["test".into()]) {
+            let mut m = sample_manifest();
+            m.name = s.clone();
+            m.points[1].label = s;
+            let json = m.render_json();
+            let parsed = Manifest::parse(&json).expect("parses back");
+            assert_eq!(parsed, m);
+            assert_eq!(parsed.render_json(), json, "render∘parse must be id");
+            let line = m.points[1].render();
+            let record = PointRecord::parse(&line);
+            assert_eq!(record.as_ref(), Some(&m.points[1]));
+            assert_eq!(record.map(|r| r.render()), Some(line));
+        }
+    }
+
+    #[test]
+    fn manifest_parse_is_total_and_rejects_torn_or_mistyped_files() {
+        let mut sharded = sample_manifest();
+        sharded.settings.shard = ShardSpec::new(1, 3).unwrap();
+        for json in [sample_manifest().render_json(), sharded.render_json()] {
+            // Dropping only the final newline loses nothing; every
+            // shorter prefix is a torn write.
+            for prefix in json::strict_prefixes(json.trim_end()) {
+                assert_eq!(Manifest::parse(prefix), None, "{prefix}");
+            }
+            for flipped in json::bit_flips(&json) {
+                let _ = Manifest::parse(&flipped);
+            }
+        }
+        for spec in ["1/3", "2/4:1/2"] {
+            for s in json::strict_prefixes(spec)
+                .map(String::from)
+                .chain(json::bit_flips(spec))
+            {
+                let _ = s.parse::<ShardSpec>();
+            }
+        }
+        let json = sample_manifest().render_json();
+        for (field, bad) in [
+            ("\"points_enumerated\": 2", "\"points_enumerated\": \"2\""),
+            ("\"precision\": 0.25", "\"precision\": \"0.25\""),
+            ("\"campaign\": \"test\"", "\"campaign\": 7"),
+            ("\"converged\": true", "\"converged\": null"),
+        ] {
+            let stale = json.replace(field, bad);
+            assert!(
+                stale != json && Manifest::parse(&stale).is_none(),
+                "{stale}"
+            );
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_replaces_the_file_instead_of_truncating_it() {
+        use std::os::unix::fs::MetadataExt;
+        let path = std::env::temp_dir().join(format!("manifest-inode-{}.json", std::process::id()));
         let m = sample_manifest();
-        let json = m.render_json();
-        let parsed = Manifest::parse(&json).expect("parses back");
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.render_json(), json, "render∘parse must be id");
+        m.write(&path).unwrap();
+        // The open handle keeps the old inode number from being reused.
+        let old = fs::File::open(&path).unwrap();
+        m.write(&path).unwrap();
+        assert_ne!(
+            fs::metadata(&path).unwrap().ino(),
+            old.metadata().unwrap().ino()
+        );
+        assert_eq!(Manifest::read(&path).unwrap(), m);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -496,10 +555,27 @@ mod tests {
     fn point_record_parse_rejects_malformed_lines() {
         let line = sample_manifest().points[1].render();
         assert!(PointRecord::parse(&line).is_some());
-        assert!(PointRecord::parse(&line[..line.len() / 2]).is_none());
         assert!(PointRecord::parse("{}").is_none());
         // Trailing comma (mid-array form) is tolerated.
         assert!(PointRecord::parse(&format!("{line},")).is_some());
+        // Torn and mistyped lines are rejected, never defaulted.
+        for prefix in json::strict_prefixes(&line) {
+            assert!(PointRecord::parse(prefix).is_none(), "{prefix}");
+        }
+        for (field, bad) in [
+            ("\"converged\": false", "\"converged\": \"false\""),
+            ("\"converged\": false", "\"converged\": 0"),
+            ("\"packets\": 60", "\"packets\": \"60\""),
+            ("\"packets\": 60", "\"packets\": 60.5"),
+            ("\"bler\": 0.400000", "\"bler\": \"0.4\""),
+            ("\"index\": 1", "\"index\": true"),
+        ] {
+            let stale = line.replace(field, bad);
+            assert!(
+                stale != line && PointRecord::parse(&stale).is_none(),
+                "{stale}"
+            );
+        }
     }
 
     #[test]

@@ -649,8 +649,10 @@ impl Campaign {
                 self.name
             );
         }
-        if let Err(e) = std::fs::write(self.prom_path(), telemetry::snapshot().render_prometheus())
-        {
+        if let Err(e) = crate::atomic_write(
+            &self.prom_path(),
+            telemetry::snapshot().render_prometheus().as_bytes(),
+        ) {
             eprintln!(
                 "campaign {}: prometheus snapshot write failed: {e}",
                 self.name

@@ -10,10 +10,8 @@ use std::path::{Path, PathBuf};
 
 use hspa_phy::harq::HarqStats;
 
-use super::{
-    corrupt_error, json_str_field, json_u64_array_field, json_u64_field, validate_record,
-    BackendKind, ChunkId, LenientLoad, StoreBackend,
-};
+use super::{corrupt_error, validate_record, BackendKind, ChunkId, LenientLoad, StoreBackend};
+use crate::json::{self, Value};
 
 /// Append-only JSONL store of per-chunk [`HarqStats`].
 #[derive(Debug)]
@@ -175,19 +173,12 @@ impl StoreBackend for JsonlBackend {
     }
 
     fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            fs::create_dir_all(dir)?;
-        }
         let mut out = String::new();
         for (id, stats) in records {
             out.push_str(&encode_record(*id, stats));
             out.push('\n');
         }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &self.path)?;
+        crate::atomic_write(&self.path, out.as_bytes())?;
         self.records = records.iter().cloned().collect();
         Ok(())
     }
@@ -237,23 +228,30 @@ enum LineIssue {
     Corrupt(String),
 }
 
-/// Parses the raw fields of a record line; `None` when a field is
-/// missing or unparseable (torn tail). Invariants between the fields
-/// are **not** checked here — that is [`classify_record`]'s job, so the
-/// strict loaders can distinguish a routine torn line from corruption.
+/// Parses the raw fields of a record line; `None` when the line is not
+/// one complete JSON object or a field is missing or mistyped (torn
+/// tail). Invariants between the fields are **not** checked here — that
+/// is [`classify_record`]'s job, so the strict loaders can distinguish a
+/// routine torn line from corruption.
 fn parse_record(line: &str) -> Option<(ChunkId, HarqStats)> {
-    let point = u64::from_str_radix(&json_str_field(line, "point")?, 16).ok()?;
+    let record = json::parse(line).ok()?;
+    let field = |name: &str| record.get(name).and_then(Value::as_u64);
     let id = ChunkId {
-        point,
-        first_packet: json_u64_field(line, "first")? as usize,
-        n_packets: json_u64_field(line, "len")? as usize,
+        point: u64::from_str_radix(record.get("point")?.as_str()?, 16).ok()?,
+        first_packet: field("first")? as usize,
+        n_packets: field("len")? as usize,
     };
     let stats = HarqStats {
-        packets: json_u64_field(line, "packets")?,
-        delivered: json_u64_field(line, "delivered")?,
-        transmissions: json_u64_field(line, "transmissions")?,
-        info_bits: json_u64_field(line, "info_bits")?,
-        failures_at: json_u64_array_field(line, "failures_at")?,
+        packets: field("packets")?,
+        delivered: field("delivered")?,
+        transmissions: field("transmissions")?,
+        info_bits: field("info_bits")?,
+        failures_at: record
+            .get("failures_at")?
+            .as_array()?
+            .iter()
+            .map(Value::as_u64)
+            .collect::<Option<_>>()?,
     };
     Some((id, stats))
 }
@@ -289,18 +287,23 @@ mod tests {
     fn malformed_lines_are_skipped() {
         assert!(parse_record("").is_none());
         assert!(parse_record("{\"point\":\"zz\"}").is_none());
-        // Truncated tail (interrupted write).
         let id = ChunkId {
-            point: 1,
-            first_packet: 0,
+            point: 0xdead_beef_0123_4567,
+            first_packet: 1 << 40,
             n_packets: 8,
         };
         let full = encode_record(id, &sample_stats());
-        assert!(parse_record(&full[..full.len() / 2]).is_none());
-        assert!(matches!(
-            classify_record(&full[..full.len() / 2]),
-            Err(LineIssue::Torn)
-        ));
+        // A write torn anywhere (even one that lost only the closing
+        // brace) is a torn line, never a record; no corruption panics.
+        for prefix in crate::json::strict_prefixes(&full) {
+            assert!(
+                matches!(classify_record(prefix), Err(LineIssue::Torn)),
+                "{prefix}"
+            );
+        }
+        for flipped in crate::json::bit_flips(&full) {
+            let _ = classify_record(&flipped);
+        }
     }
 
     #[test]

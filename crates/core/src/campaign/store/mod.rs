@@ -21,10 +21,9 @@
 //!
 //! The backend is inferred from the file extension, so every path-typed
 //! entry point ([`ResultStore::open`], [`load_all`], [`write_records`])
-//! transparently serves both formats. The offline `serde` shim has no
-//! serializer, so JSONL records are written and parsed by hand; both
-//! formats are versioned through the fingerprint schema (a key mismatch
-//! is just a store miss, never corruption).
+//! transparently serves both formats. JSONL records are read through
+//! [`crate::json`]; both formats are versioned through the fingerprint
+//! schema (a key mismatch is just a store miss, never corruption).
 
 mod jsonl;
 mod query;
@@ -375,56 +374,6 @@ pub(super) fn validate_record(id: ChunkId, stats: &HarqStats) -> Result<(), Stri
     Ok(())
 }
 
-/// The raw text following `"name":` up to the next `,`/`}`/`]`.
-///
-/// Only suitable for the flat records this module writes itself — no
-/// nesting, no escaped strings.
-fn json_raw_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = json.find(&tag)? + tag.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Parses a numeric field of a flat JSON object.
-pub(crate) fn json_u64_field(json: &str, name: &str) -> Option<u64> {
-    json_raw_field(json, name)?.parse().ok()
-}
-
-/// Parses a float field of a flat JSON object.
-pub(crate) fn json_f64_field(json: &str, name: &str) -> Option<f64> {
-    json_raw_field(json, name)?.parse().ok()
-}
-
-/// Parses a quoted string field of a flat JSON object (no escapes).
-pub(crate) fn json_str_field(json: &str, name: &str) -> Option<String> {
-    let raw = json_raw_field(json, name)?;
-    Some(raw.strip_prefix('"')?.strip_suffix('"')?.to_string())
-}
-
-/// Parses a boolean field of a flat JSON object.
-pub(crate) fn json_bool_field(json: &str, name: &str) -> Option<bool> {
-    match json_raw_field(json, name)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-/// Parses a `[u64, …]` array field of a flat JSON object.
-pub(crate) fn json_u64_array_field(json: &str, name: &str) -> Option<Vec<u64>> {
-    let tag = format!("\"{name}\":[");
-    let start = json.find(&tag)? + tag.len();
-    let rest = &json[start..];
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|s| s.trim().parse().ok()).collect()
-}
-
 #[cfg(test)]
 pub(crate) fn sample_stats() -> HarqStats {
     HarqStats {
@@ -579,18 +528,6 @@ mod tests {
             let _ = fs::remove_file(p);
         }
         let _ = fs::remove_file(seg.with_extension("seg.idx"));
-    }
-
-    #[test]
-    fn json_field_helpers() {
-        let j = "{\"a\":3,\"b\":\"0f\",\"c\":[1, 2,3],\"d\":2.5,\"e\":true}";
-        assert_eq!(json_u64_field(j, "a"), Some(3));
-        assert_eq!(json_str_field(j, "b").as_deref(), Some("0f"));
-        assert_eq!(json_u64_array_field(j, "c"), Some(vec![1, 2, 3]));
-        assert_eq!(json_f64_field(j, "d"), Some(2.5));
-        assert_eq!(json_bool_field(j, "e"), Some(true));
-        assert_eq!(json_u64_field(j, "missing"), None);
-        assert_eq!(json_bool_field(j, "a"), None);
     }
 
     #[test]

@@ -249,11 +249,7 @@ impl SegmentBackend {
             out.extend_from_slice(&(id.n_packets as u64).to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
         }
-        let mut tmp = self.index_path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, out)?;
-        fs::rename(&tmp, &self.index_path)
+        crate::atomic_write(&self.index_path, &out)
     }
 
     /// Scans every frame of the segment file. `strict` errors on the
@@ -393,20 +389,13 @@ impl StoreBackend for SegmentBackend {
     }
 
     fn replace_all(&mut self, records: &[(ChunkId, HarqStats)]) -> std::io::Result<()> {
-        if let Some(dir) = self.path.parent() {
-            fs::create_dir_all(dir)?;
-        }
         let mut out = Vec::from(*SEG_MAGIC);
         let mut frames = Vec::with_capacity(records.len());
         for (id, stats) in records {
             frames.push((*id, out.len() as u64));
             out.extend_from_slice(&encode_frame(*id, stats));
         }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, &out)?;
-        fs::rename(&tmp, &self.path)?;
+        crate::atomic_write(&self.path, &out)?;
         self.end = out.len() as u64;
         self.lookup = frames.iter().copied().collect();
         self.frames = frames;

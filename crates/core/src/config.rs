@@ -6,10 +6,9 @@
 use dsp::{LlrFormat, LlrQuantizer};
 use hspa_phy::harq::HarqCombining;
 use hspa_phy::Modulation;
-use serde::{Deserialize, Serialize};
 
 /// Which channel model the link runs over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChannelKind {
     /// Frequency-flat AWGN (fast; used in unit tests).
     Awgn,
@@ -45,7 +44,7 @@ pub enum AccuracyTier {
 /// standard-compliant chain. [`SystemConfig::paper_64qam`] reproduces it
 /// at a scaled block length whose LLR array matches the paper's
 /// "10 % defects ≈ 2000 cells" quote.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Information payload bits per transport block (before CRC).
     pub payload_bits: usize,

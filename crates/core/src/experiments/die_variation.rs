@@ -8,8 +8,6 @@
 //! tight spread validates the paper's single-map methodology; a wide one
 //! would mean binning by count alone is insufficient.
 
-use serde::{Deserialize, Serialize};
-
 use dsp::stats::{mean, variance};
 
 use crate::config::SystemConfig;
@@ -20,7 +18,7 @@ use crate::simulator::LinkSimulator;
 use super::ExperimentBudget;
 
 /// Result of the die-variation study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DieVariationResult {
     /// Evaluation SNR (dB).
     pub snr_db: f64,

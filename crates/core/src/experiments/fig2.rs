@@ -8,7 +8,6 @@
 //! failure probability.
 
 use dsp::stats::wilson_interval;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::controller::WILSON_Z;
 use crate::config::SystemConfig;
@@ -23,14 +22,14 @@ use super::ExperimentBudget;
 pub const SNR_REGIMES: [f64; 3] = [3.0, 11.0, 29.0];
 
 /// Result of the Fig. 2 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Result {
     /// One BLER-vs-transmission curve per SNR regime.
     pub bler: Vec<BlerCurve>,
 }
 
 /// BLER after each transmission at one SNR.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlerCurve {
     /// Operating SNR in dB.
     pub snr_db: f64,

@@ -5,14 +5,12 @@
 //! the RDF curves fall ~18 decades per volt with the 8T curve shifted
 //! ≈200 mV left; the soft-error curve is nearly flat.
 
-use serde::{Deserialize, Serialize};
-
 use silicon::cell::{BitCellKind, CellFailureModel, SoftErrorModel};
 
 use crate::report::{render_series_table, Series};
 
 /// Result of the Fig. 3 evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// Supply-voltage grid (V).
     pub vdd: Vec<f64>,

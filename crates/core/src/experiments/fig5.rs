@@ -6,8 +6,6 @@
 //! and higher `P_cell` (lower supply voltage) needs proportionally more
 //! accepted defects.
 
-use serde::{Deserialize, Serialize};
-
 use silicon::yield_model::{min_accepted_faults, yield_accepting};
 
 use crate::report::{render_table, Series};
@@ -20,7 +18,7 @@ pub const ARRAY_CELLS: u64 = 200 * 1024;
 pub const P_CELLS: [f64; 4] = [1e-5, 1e-4, 1e-3, 1e-2];
 
 /// Result of the Fig. 5 evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// Accepted-fault counts (x axis).
     pub n_f: Vec<u64>,
@@ -31,7 +29,7 @@ pub struct Fig5Result {
 }
 
 /// One yield curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YieldCurve {
     /// The per-cell failure probability.
     pub p_cell: f64,

@@ -7,8 +7,6 @@
 //! throughput degrades and the retransmission count rises, yet even 10 %
 //! defects keep the 18 dB point above the 0.53 requirement.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::SystemConfig;
 use crate::montecarlo::StorageConfig;
 use crate::report::{render_series_table, Series};
@@ -20,7 +18,7 @@ use super::{snr_grid, ExperimentBudget};
 pub const DEFECT_FRACTIONS: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.10];
 
 /// Result of the Fig. 6 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// SNR grid (dB).
     pub snr_db: Vec<f64>,
@@ -29,7 +27,7 @@ pub struct Fig6Result {
 }
 
 /// Throughput/retransmission data for one defect rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefectCurve {
     /// Fraction of faulty cells.
     pub defect_fraction: f64,

@@ -6,8 +6,6 @@
 //! (b) `N_f = 10 %` of the 6T cells. Expected shape: protecting 3–4 MSBs
 //! recovers almost the whole defect-free curve even at 10 % defects.
 
-use serde::{Deserialize, Serialize};
-
 use dsp::rng::derive_seed;
 
 use crate::config::SystemConfig;
@@ -21,7 +19,7 @@ use super::{snr_grid, ExperimentBudget};
 pub const PROTECTED_BITS: [u8; 5] = [0, 2, 3, 4, 6];
 
 /// One panel of Fig. 7 (one defect rate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Panel {
     /// Defect fraction in the unprotected cells.
     pub defect_fraction: f64,
@@ -35,7 +33,7 @@ pub struct Fig7Panel {
 }
 
 /// Result: panels (a) and (b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// Panel (a): 1 % defects.
     pub panel_a: Fig7Panel,

@@ -8,8 +8,6 @@
 //! 3–4 protected bits — protecting more buys area, not throughput — and
 //! hybrid protection dominates ECC on the gain/area metric.
 
-use serde::{Deserialize, Serialize};
-
 use silicon::area_power::protection_efficiency;
 use silicon::ecc::Secded;
 use silicon::fault_map::FaultKind;
@@ -27,7 +25,7 @@ use super::ExperimentBudget;
 pub const DEFECT_FRACTION: f64 = 0.10;
 
 /// One row of the efficiency table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencyRow {
     /// Scheme label.
     pub scheme: String,
@@ -44,7 +42,7 @@ pub struct EfficiencyRow {
 }
 
 /// Result of the Fig. 8 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// Evaluation SNR (dB).
     pub snr_db: f64,

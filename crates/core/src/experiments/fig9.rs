@@ -7,8 +7,6 @@
 //! high defect rates. Expected shape: at high SNR the 10-bit curve sits
 //! at or above the 11/12-bit curves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::SystemConfig;
 use crate::montecarlo::StorageConfig;
 use crate::report::{render_series_table, Series};
@@ -23,7 +21,7 @@ pub const BIT_WIDTHS: [u8; 3] = [10, 11, 12];
 pub const DEFECT_FRACTION: f64 = 0.10;
 
 /// Result of the Fig. 9 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Result {
     /// SNR grid (dB).
     pub snr_db: Vec<f64>,

@@ -17,8 +17,6 @@ pub mod fig9;
 pub mod power;
 pub mod soft_errors;
 
-use serde::{Deserialize, Serialize};
-
 use hspa_phy::harq::{HarqStats, LlrBuffer};
 
 use crate::campaign::{Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint};
@@ -27,7 +25,7 @@ use crate::montecarlo::StorageConfig;
 use crate::simulator::LinkSimulator;
 
 /// Monte-Carlo effort knobs shared by all link-simulation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentBudget {
     /// Packets simulated per (storage, SNR) operating point. Under a
     /// campaign this is the **maximum** (escalation cap) per point.

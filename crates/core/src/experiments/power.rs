@@ -10,8 +10,6 @@
 //!    and 2.4 vs 3.5 average transmissions at 9 dB compared to the
 //!    unprotected array at the same defect rate.
 
-use serde::{Deserialize, Serialize};
-
 use silicon::area_power::PowerModel;
 use silicon::cell::{BitCellKind, CellFailureModel};
 use silicon::ProtectionPlan;
@@ -25,7 +23,7 @@ use crate::simulator::LinkSimulator;
 use super::ExperimentBudget;
 
 /// One operating point of the power study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerRow {
     /// Scheme label.
     pub scheme: String,
@@ -46,7 +44,7 @@ pub struct PowerRow {
 }
 
 /// Result of the power study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerResult {
     /// Evaluation SNR (dB).
     pub snr_db: f64,

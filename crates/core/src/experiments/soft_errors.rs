@@ -8,8 +8,6 @@
 //! throughput starts to move — orders of magnitude above what the
 //! soft-error model predicts at any realistic supply.
 
-use serde::{Deserialize, Serialize};
-
 use silicon::cell::SoftErrorModel;
 
 use crate::buffer::{QuantizedLlrBuffer, TransientLlrBuffer};
@@ -24,7 +22,7 @@ use super::ExperimentBudget;
 pub const UPSET_RATES: [f64; 6] = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 
 /// Result of the soft-error study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftErrorResult {
     /// Evaluation SNR (dB).
     pub snr_db: f64,

@@ -32,6 +32,8 @@
 //! * [`failpoint`] — deterministic fault injection (seeded, replayable)
 //!   compiled into the dispatcher, launchers and store backends for the
 //!   chaos test suite; zero overhead unarmed.
+//! * [`json`] — the one JSON codec (total parser plus string escaper)
+//!   behind the store, manifest and telemetry files.
 //! * [`report`] — plain-text table rendering shared by binaries.
 //! * [`telemetry`] — always-on lock-free metrics (counters, gauges,
 //!   histograms on per-thread shards), span timing, and the opt-in
@@ -57,6 +59,7 @@ pub mod config;
 pub mod engine;
 pub mod experiments;
 pub mod failpoint;
+pub mod json;
 pub mod montecarlo;
 pub mod report;
 pub mod simulator;
@@ -67,3 +70,16 @@ pub use campaign::{Campaign, CampaignPoint, CampaignReport, CampaignSettings, Sh
 pub use config::SystemConfig;
 pub use engine::{ChunkSpec, CustomChunk, CustomPoint, GridResult, PointSpec, SimulationEngine};
 pub use montecarlo::{run_point, DefectSpec, StorageConfig};
+
+/// Replaces `path` with `bytes` atomically: creates the parent
+/// directory, writes `<path>.tmp.<pid>` and renames it into place, so a
+/// reader or a killed writer never leaves a half-written file.
+pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}

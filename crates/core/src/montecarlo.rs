@@ -11,7 +11,6 @@
 //! tree is the single source of randomness on both paths.
 
 use hspa_phy::harq::{HarqStats, LlrBuffer, PerfectLlrBuffer};
-use serde::{Deserialize, Serialize};
 use silicon::cell::CellFailureModel;
 use silicon::ecc::Secded;
 use silicon::fault_map::{FaultKind, FaultMap};
@@ -23,7 +22,7 @@ use crate::engine::SimulationEngine;
 use crate::simulator::LinkSimulator;
 
 /// How many cells of the LLR array are defective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DefectSpec {
     /// Exact fraction of the (unprotected) cells, the paper's `N_f` in %.
     Fraction(f64),
@@ -35,7 +34,7 @@ pub enum DefectSpec {
 }
 
 /// The LLR-storage backend of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StorageConfig {
     /// Ideal float storage (no quantization, no faults).
     Perfect,

@@ -40,6 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::{self, Value};
+
 /// Bucket count of every histogram (15 finite upper bounds + overflow).
 pub const HIST_BUCKETS: usize = 16;
 
@@ -597,18 +599,6 @@ pub enum Field<'a> {
     Bool(bool),
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct EventState {
     file: BufWriter<File>,
@@ -657,9 +647,10 @@ impl EventLog {
         };
         let mut line = String::with_capacity(96);
         line.push_str(&format!(
-            "{{\"seq\": {}, \"t_ms\": {t_ms}, \"event\": \"{event}\"",
+            "{{\"seq\": {}, \"t_ms\": {t_ms}, \"event\": ",
             state.seq
         ));
+        json::write_str(&mut line, event);
         for (key, value) in fields {
             line.push_str(", \"");
             line.push_str(key);
@@ -668,11 +659,7 @@ impl EventLog {
                 Field::U64(v) => line.push_str(&v.to_string()),
                 Field::F64(v) => line.push_str(&format!("{v:.6}")),
                 Field::Bool(v) => line.push_str(if *v { "true" } else { "false" }),
-                Field::Str(s) => {
-                    line.push('"');
-                    escape_into(&mut line, s);
-                    line.push('"');
-                }
+                Field::Str(s) => json::write_str(&mut line, s),
             }
         }
         line.push_str("}\n");
@@ -703,6 +690,28 @@ pub struct PointProgress {
     pub half_width: f64,
     /// Whether the point has converged.
     pub converged: bool,
+}
+
+impl PointProgress {
+    /// Reads one snapshot row; `None` (row skipped) unless it carries a
+    /// hex `key`. Other missing or mistyped fields default.
+    fn from_json(row: &Value) -> Option<PointProgress> {
+        let u = |name: &str| row.get(name).and_then(Value::as_u64).unwrap_or(0);
+        let f = |name: &str| row.get(name).and_then(Value::as_f64).unwrap_or(0.0);
+        Some(PointProgress {
+            key: u64::from_str_radix(row.get("key")?.as_str()?, 16).ok()?,
+            label: row
+                .get("label")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .into(),
+            packets: u("packets"),
+            max_packets: u("max"),
+            bler: f("bler"),
+            half_width: f("half_width"),
+            converged: row.get("converged").and_then(Value::as_bool) == Some(true),
+        })
+    }
 }
 
 /// The live progress file a running campaign rewrites atomically after
@@ -787,9 +796,9 @@ impl LiveSnapshot {
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             let mut label = String::new();
-            escape_into(&mut label, &p.label);
+            json::write_str(&mut label, &p.label);
             out.push_str(&format!(
-                "    {{\"key\": \"{:016x}\", \"label\": \"{label}\", \"packets\": {}, \
+                "    {{\"key\": \"{:016x}\", \"label\": {label}, \"packets\": {}, \
                  \"max\": {}, \"bler\": {:.6}, \"half_width\": {:.6}, \"converged\": {}}}{}\n",
                 p.key,
                 p.packets,
@@ -804,56 +813,41 @@ impl LiveSnapshot {
         out
     }
 
-    /// Parses what [`render_json`](Self::render_json) wrote. Lenient:
-    /// unknown fields are ignored, malformed point lines are skipped.
+    /// Parses what [`render_json`](Self::render_json) wrote; `None`
+    /// unless `text` is one complete JSON object with a numeric `seq`.
+    /// Lenient otherwise: missing or mistyped fields default, unknown
+    /// fields are ignored and malformed point rows are skipped.
     pub fn parse(text: &str) -> Option<LiveSnapshot> {
-        let mut snap = LiveSnapshot {
-            seq: json_u64(text, "seq")?,
-            elapsed_ms: json_u64(text, "elapsed_ms").unwrap_or(0),
-            done: json_bool(text, "done").unwrap_or(false),
-            points_total: json_u64(text, "points_total").unwrap_or(0),
-            points_converged: json_u64(text, "points_converged").unwrap_or(0),
-            packets_realized: json_u64(text, "packets_realized").unwrap_or(0),
-            packets_from_store: json_u64(text, "packets_from_store").unwrap_or(0),
-            packets_simulated: json_u64(text, "packets_simulated").unwrap_or(0),
-            packets_per_sec: json_f64(text, "packets_per_sec").unwrap_or(0.0),
-            store_chunk_hits: json_u64(text, "store_chunk_hits").unwrap_or(0),
-            store_chunk_misses: json_u64(text, "store_chunk_misses").unwrap_or(0),
-            points: Vec::new(),
-        };
-        let (_, points) = text.split_once("\"points\": [")?;
-        for line in points.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('{') || !line.ends_with('}') {
-                continue;
-            }
-            let Some(key) = json_hex_key(line) else {
-                continue;
-            };
-            snap.points.push(PointProgress {
-                key,
-                label: json_str(line, "label").unwrap_or_default(),
-                packets: json_u64(line, "packets").unwrap_or(0),
-                max_packets: json_u64(line, "max").unwrap_or(0),
-                bler: json_f64(line, "bler").unwrap_or(0.0),
-                half_width: json_f64(line, "half_width").unwrap_or(0.0),
-                converged: json_bool(line, "converged").unwrap_or(false),
-            });
-        }
-        Some(snap)
+        let doc = json::parse(text).ok()?;
+        let u = |name: &str| doc.get(name).and_then(Value::as_u64).unwrap_or(0);
+        Some(LiveSnapshot {
+            seq: doc.get("seq")?.as_u64()?,
+            elapsed_ms: u("elapsed_ms"),
+            done: doc.get("done").and_then(Value::as_bool) == Some(true),
+            points_total: u("points_total"),
+            points_converged: u("points_converged"),
+            packets_realized: u("packets_realized"),
+            packets_from_store: u("packets_from_store"),
+            packets_simulated: u("packets_simulated"),
+            packets_per_sec: doc
+                .get("packets_per_sec")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0),
+            store_chunk_hits: u("store_chunk_hits"),
+            store_chunk_misses: u("store_chunk_misses"),
+            points: doc
+                .get("points")?
+                .as_array()?
+                .iter()
+                .filter_map(PointProgress::from_json)
+                .collect(),
+        })
     }
 
     /// Writes the snapshot atomically (temp file + rename), so a
     /// concurrent reader never sees a torn snapshot.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, self.render_json())?;
-        fs::rename(&tmp, path)
+        crate::atomic_write(path, self.render_json().as_bytes())
     }
 
     /// Reads and parses a snapshot file; `None` if absent or torn.
@@ -866,65 +860,7 @@ impl LiveSnapshot {
 /// cheap heartbeat probe. `None` when the file is absent or malformed
 /// (e.g. the leg predates telemetry).
 pub fn read_snapshot_seq(path: &Path) -> Option<u64> {
-    json_u64(&fs::read_to_string(path).ok()?, "seq")
-}
-
-// Flat-JSON field scanners. The leading quote in the needle keeps
-// `"packets"` from matching inside `"packets_realized"` etc.; keys we
-// write never occur inside label strings (labels can't contain `"`
-// unescaped, and the scan looks for the full `"key": ` shape).
-fn json_raw<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    json_raw(text, key)?.parse().ok()
-}
-
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    json_raw(text, key)?.parse().ok()
-}
-
-fn json_bool(text: &str, key: &str) -> Option<bool> {
-    match json_raw(text, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn json_str(text: &str, key: &str) -> Option<String> {
-    // String values can contain the `,`/`}` delimiters json_raw stops
-    // at (point labels like "6T, Nf=0.10% @ 0 dB" do), so scan to the
-    // closing quote directly, un-escaping the two sequences we emit.
-    let needle = format!("\"{key}\": \"");
-    let start = text.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = text[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                other => {
-                    out.push('\\');
-                    out.push(other);
-                }
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_hex_key(text: &str) -> Option<u64> {
-    let raw = json_raw(text, "key")?;
-    u64::from_str_radix(raw.trim_matches('"'), 16).ok()
+    LiveSnapshot::read(path).map(|s| s.seq)
 }
 
 #[cfg(test)]
@@ -1058,15 +994,30 @@ mod tests {
                 },
             ],
         };
-        let parsed = LiveSnapshot::parse(&snap.render_json()).expect("parses");
-        assert_eq!(parsed.seq, 7);
-        assert_eq!(parsed.points.len(), 2);
-        assert_eq!(parsed.points[0].key, 0xdead_beef);
-        assert_eq!(parsed.points[0].label, "quantized/9dB");
-        assert!(parsed.points[0].converged);
-        assert_eq!(parsed.points[1].label, "6T, Nf=0.10% @ 0 dB \\ \"x\", {y}");
-        assert_eq!(parsed.points[1].packets, 32);
+        let json = snap.render_json();
+        let parsed = LiveSnapshot::parse(&json).expect("parses");
+        assert_eq!(parsed, snap);
         assert!((parsed.store_hit_ratio() - 4.0 / 6.0).abs() < 1e-12);
+        for label in json::awkward_strings() {
+            let mut awkward = snap.clone();
+            awkward.points[1].label = label.clone();
+            let parsed = LiveSnapshot::parse(&awkward.render_json()).expect("parses");
+            assert_eq!(parsed.points[1].label, label);
+        }
+        // A torn snapshot is rejected as a whole; no corruption panics.
+        for prefix in json::strict_prefixes(json.trim_end()) {
+            assert_eq!(LiveSnapshot::parse(prefix), None, "{prefix}");
+        }
+        for flipped in json::bit_flips(&json) {
+            let _ = LiveSnapshot::parse(&flipped);
+        }
+        // `seq` is the one strict field; other fields default.
+        assert_eq!(
+            LiveSnapshot::parse(&json.replace("\"seq\": 7", "\"seq\": \"7\"")),
+            None
+        );
+        let lenient = LiveSnapshot::parse(&json.replace("\"done\": false", "\"done\": 0"));
+        assert_eq!(lenient, Some(snap));
     }
 
     #[test]
@@ -1099,16 +1050,24 @@ mod tests {
         );
         log.emit("merge", &[("shards", Field::U64(2))]);
         let text = fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<Value> = text.lines().map(|l| json::parse(l).unwrap()).collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(json_u64(lines[0], "seq"), Some(0));
+        assert_eq!(lines[0].get("seq").and_then(Value::as_u64), Some(0));
         assert_eq!(
-            json_str(lines[0], "event").as_deref(),
+            lines[0].get("event").and_then(Value::as_str),
             Some("chunk_scheduled")
         );
-        assert_eq!(json_u64(lines[0], "packets"), Some(16));
-        assert_eq!(json_bool(lines[0], "converged"), Some(false));
-        assert_eq!(json_u64(lines[1], "seq"), Some(1));
+        assert_eq!(
+            lines[0].get("point").and_then(Value::as_str),
+            Some("quantized/9dB")
+        );
+        assert_eq!(lines[0].get("packets").and_then(Value::as_u64), Some(16));
+        assert_eq!(lines[0].get("bler").and_then(Value::as_f64), Some(0.25));
+        assert_eq!(
+            lines[0].get("converged").and_then(Value::as_bool),
+            Some(false)
+        );
+        assert_eq!(lines[1].get("seq").and_then(Value::as_u64), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number with `f64` real and imaginary parts.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p, Complex64::new(5.0, 5.0));
 /// assert_eq!(a.conj(), Complex64::new(1.0, -2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -10,10 +10,8 @@
 //! the boundary through which the fault simulator perturbs stored soft
 //! values.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary representation of the stored LLR word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LlrFormat {
     /// Two's-complement representation (the paper's implicit baseline; the
     /// MSB is the sign bit and carries weight `-2^{W-1}`).
@@ -41,7 +39,7 @@ pub enum LlrFormat {
 /// let back = q.dequantize(code);
 /// assert!((back - 7.25).abs() <= q.step());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlrQuantizer {
     bits: u8,
     clip: f64,

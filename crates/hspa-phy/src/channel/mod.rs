@@ -16,7 +16,6 @@ use dsp::rng::{complex_gaussian, seeded};
 use dsp::stats::db_to_linear;
 use dsp::Complex64;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// One realized channel: taps fixed for the block, plus the noise level.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +138,7 @@ pub trait ChannelModel {
 }
 
 /// Frequency-flat AWGN: a single unit tap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AwgnChannel;
 
 impl ChannelModel for AwgnChannel {
@@ -170,7 +169,7 @@ impl ChannelModel for AwgnChannel {
 }
 
 /// ITU power-delay profiles (delays in ns, powers in dB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ItuProfile {
     /// ITU Pedestrian A — mild dispersion.
     #[default]

@@ -5,8 +5,6 @@
 //! what turns a decoded block into an ACK or a HARQ retransmission
 //! request. The 16-bit polynomial is provided for smaller test blocks.
 
-use serde::{Deserialize, Serialize};
-
 /// A bit-serial CRC defined by its generator polynomial.
 ///
 /// The polynomial is given without the leading `x^width` term, MSB-first
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(block.len(), data.len() + 24);
 /// assert!(crc.check(&block));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc {
     width: u8,
     poly: u32,

@@ -8,8 +8,6 @@
 //! (`resilience-core::FaultyLlrBuffer`) without touching the protocol
 //! logic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rate_match::{RateMatcher, RedundancyVersion};
 
 /// Soft-value storage used by the HARQ process.
@@ -167,7 +165,7 @@ impl LlrBuffer for PerfectLlrBuffer {
 }
 
 /// HARQ soft-combining strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HarqCombining {
     /// Every retransmission repeats the same RV; LLRs add up.
     Chase,
@@ -295,7 +293,7 @@ impl<'a, B: LlrBuffer> HarqProcess<'a, B> {
 }
 
 /// Outcome statistics of a HARQ Monte-Carlo run (one operating point).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HarqStats {
     /// Packets attempted.
     pub packets: u64,

@@ -10,10 +10,9 @@
 //! (MSB first), the second half the Q level.
 
 use dsp::Complex64;
-use serde::{Deserialize, Serialize};
 
 /// Modulation alphabets of the HSPA+ downlink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Modulation {
     /// 4-point QAM, 2 bits per symbol.
     Qpsk,

@@ -14,12 +14,11 @@
 //! remaining budget evenly. The whole mapping is exposed as an index map,
 //! which makes the receiver's LLR de-rate-matching (accumulation) exact.
 
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A redundancy version: `s` selects systematic priority, `r` rotates the
 /// puncturing phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RedundancyVersion {
     /// `true` → self-decodable (systematic bits prioritized).
     pub s: bool,
@@ -68,7 +67,7 @@ impl Default for RedundancyVersion {
 /// assert_eq!(map.len(), 240);
 /// assert!(map.iter().all(|&i| i < 312));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateMatcher {
     k: usize,
     coded_len: usize,

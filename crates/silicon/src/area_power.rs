@@ -11,8 +11,6 @@
 //! * the iso-area power-saving comparison of Section 6.3 (hybrid array at
 //!   0.6 V vs conventional 6T at its minimum reliable supply).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ecc::Secded;
 use crate::hybrid::ProtectionPlan;
 
@@ -33,7 +31,7 @@ pub fn ecc_array_area(words: u32, data_bits: u8) -> f64 {
 ///
 /// All quantities are relative; [`PowerModel::dac12`] normalizes so that a
 /// plain 6T array at 1.0 V has power 1.0 per cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Nominal supply voltage (volts).
     pub v_nominal: f64,

@@ -19,10 +19,8 @@
 //! downstream experiments only consume the scalar `P_cell(Vdd)`, so the
 //! substitution preserves the paper's code path exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// SRAM bit-cell implementation choices studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BitCellKind {
     /// Medium-sized 6-transistor cell (area- and energy-efficient baseline).
     #[default]
@@ -93,7 +91,7 @@ impl std::fmt::Display for BitCellKind {
 /// let ratio = m.p_cell(BitCellKind::Sram6T, 0.5) / m.p_cell(BitCellKind::Sram6T, 1.0);
 /// assert!(ratio > 1e6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellFailureModel {
     /// Nominal supply voltage (volts).
     pub v_nominal: f64,
@@ -166,7 +164,7 @@ impl Default for CellFailureModel {
 ///
 /// Rates rise only 3× per 500 mV of supply reduction (paper, Section 3),
 /// in contrast to the explosive RDF curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftErrorModel {
     /// Nominal supply voltage (volts).
     pub v_nominal: f64,

@@ -7,10 +7,8 @@
 //! the comparison can be reproduced in simulation, not just in the area
 //! model.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a SECDED decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodeOutcome {
     /// No error detected.
     Clean,
@@ -37,7 +35,7 @@ pub enum DecodeOutcome {
 /// assert_eq!(outcome, DecodeOutcome::Corrected);
 /// assert_eq!(data, 0b10_1100_0111);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Secded {
     data_bits: u8,
     parity_bits: u8,

@@ -8,12 +8,11 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dsp::rng::seeded;
 
 /// How a defective cell corrupts the bit stored in it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultKind {
     /// The stored bit is inverted (the paper's model).
     #[default]
@@ -25,7 +24,7 @@ pub enum FaultKind {
 }
 
 /// A single defective bit cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// Word index within the array.
     pub word: u32,
@@ -48,7 +47,7 @@ pub struct Fault {
 /// // Same seed → identical map.
 /// assert_eq!(map, FaultMap::random_exact(1000, 10, 50, FaultKind::Flip, 42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultMap {
     words: u32,
     bits_per_word: u8,

@@ -6,8 +6,6 @@
 //! position of the word and derives fault statistics, fault maps and area
 //! figures from that assignment.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::{BitCellKind, CellFailureModel};
 use crate::fault_map::{FaultKind, FaultMap};
 use dsp::rng::{derive_seed, seeded};
@@ -30,7 +28,7 @@ use rand::Rng;
 /// let ovh = plan.area_overhead_vs_6t();
 /// assert!(ovh > 0.10 && ovh < 0.14);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtectionPlan {
     cells: Vec<BitCellKind>,
 }

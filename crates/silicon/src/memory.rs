@@ -6,8 +6,6 @@
 //! through the array (a stored bit mapped onto a faulty cell is read back
 //! inverted); the fault map itself never changes during a simulation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault_map::FaultMap;
 
 /// A word-addressable memory whose cells may be defective.
@@ -24,7 +22,7 @@ use crate::fault_map::FaultMap;
 /// let v = mem.read(3); // possibly corrupted
 /// assert!(v <= 0b11_1111_1111);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultyMemory {
     map: FaultMap,
     data: Vec<u32>,

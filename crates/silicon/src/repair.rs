@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dsp::rng::seeded;
 
 /// Physical array organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayGeometry {
     /// Word lines.
     pub rows: u32,
@@ -32,7 +31,7 @@ impl ArrayGeometry {
 }
 
 /// Available spare resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SpareBudget {
     /// Spare rows.
     pub rows: u32,

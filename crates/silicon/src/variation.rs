@@ -10,7 +10,6 @@
 //! of anchors — and a consistency test ties the two together.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dsp::rng::seeded;
 use dsp::stats::q_function;
@@ -22,7 +21,7 @@ use dsp::stats::q_function;
 /// `P_fail(Vdd) = Q(m(Vdd) / sigma_vth)` in closed form; the Monte-Carlo
 /// estimator exists to mirror the paper's methodology (and to validate
 /// the closed form).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VthMismatchModel {
     /// Vth mismatch standard deviation (volts). Pelgrom: `A_vt/√(WL)`;
     /// ~30-50 mV for minimum-size 65 nm devices.

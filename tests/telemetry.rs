@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use resilience_core::campaign::{shard, Campaign, CampaignPoint, CampaignSettings, ShardSpec};
 use resilience_core::config::SystemConfig;
 use resilience_core::engine::SimulationEngine;
+use resilience_core::json;
 use resilience_core::montecarlo::StorageConfig;
 use resilience_core::simulator::LinkSimulator;
 use resilience_core::telemetry::LiveSnapshot;
@@ -174,16 +175,12 @@ fn telemetry_on_writes_consistent_exposition() {
     assert!(lines.last().is_some_and(|l| l.contains("\"run_finished\"")));
     assert!(lines.iter().any(|l| l.contains("\"chunk_done\"")));
     for (i, line) in lines.iter().enumerate() {
-        assert!(
-            line.starts_with("{\"seq\": ") && line.ends_with('}'),
-            "malformed: {line}"
+        let seq = json::parse(line).ok().and_then(|e| e.get("seq")?.as_u64());
+        assert_eq!(
+            seq,
+            Some(i as u64),
+            "event seq must be contiguous from 0: {line}"
         );
-        let seq: u64 = line["{\"seq\": ".len()..]
-            .split(',')
-            .next()
-            .and_then(|v| v.parse().ok())
-            .expect("seq field");
-        assert_eq!(seq, i as u64, "event seq must be contiguous from 0: {line}");
     }
 
     // The Prometheus snapshot exposes the core counters.
