@@ -7,7 +7,7 @@
 //! campaign-dispatch --name fig6 --bin target/release/fig6a --legs 2 \
 //!     [--steal|--no-steal] [--work-dir D] [--stall-timeout SECS] \
 //!     [--launcher TEMPLATE] [--hosts a,b,c] [--pull TEMPLATE] \
-//!     [--backoff BASE_MS:FACTOR:MAX_MS] [--no-reshard] [--chaos-seed N] \
+//!     [--backoff BASE_MS:FACTOR:MAX_MS] [--chaos-seed N] \
 //!     [--manifest-json PATH] [--telemetry] [--store-backend KIND] \
 //!     [--quiet] [-- LEG_ARGS...]
 //! ```
@@ -22,10 +22,10 @@
 //! `--chaos-seed N` arms the deterministic failpoints: in this
 //! dispatcher (launch failures) and, via the leg environment, in every
 //! launched leg (crashes, hangs, stale heartbeats, torn appends, index
-//! corruption). Failed shards retry under `--backoff`; when slots are
-//! idle a dead shard is re-sharded into parallel slices unless
-//! `--no-reshard`; a shard that exhausts its attempts is abandoned and
-//! the survivors merge into a partial-but-verified manifest.
+//! corruption). A dead shard is relaunched as a rescue leg over its
+//! surviving store after a `--backoff` delay; a shard that exhausts its
+//! attempts is abandoned and the survivors merge into a
+//! partial-but-verified manifest.
 //!
 //! `--store-backend KIND` (`jsonl` or `indexed`) is forwarded to every
 //! leg, so the whole dispatched campaign writes one store format; the
@@ -65,7 +65,7 @@ fn main() {
              [--legs N] [--steal|--no-steal] [--work-dir D] \
              [--stall-timeout SECS] [--launcher TEMPLATE] [--hosts a,b,c] \
              [--pull TEMPLATE] [--backoff BASE_MS:FACTOR:MAX_MS] \
-             [--no-reshard] [--chaos-seed N] [--manifest-json PATH] \
+             [--chaos-seed N] [--manifest-json PATH] \
              [--telemetry] [--store-backend jsonl|indexed] [--quiet] \
              [-- LEG_ARGS...]"
         );
@@ -122,7 +122,6 @@ fn main() {
     };
     let mut cfg = DispatchConfig {
         steal: parsed.steal,
-        reshard: parsed.reshard,
         stall_timeout: match parsed.stall_timeout_secs {
             0 => None,
             secs => Some(Duration::from_secs(secs)),

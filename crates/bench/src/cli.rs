@@ -248,8 +248,9 @@ pub fn finish(args: &[String], budget: &ExperimentBudget, names: &[&str]) {
 /// campaign-dispatch --name fig6 --bin target/release/fig6a --legs 2 \
 ///     [--steal|--no-steal] [--work-dir D] [--stall-timeout SECS] \
 ///     [--launcher TEMPLATE] [--hosts a,b,c] [--pull TEMPLATE] \
-///     [--backoff BASE_MS:FACTOR:MAX_MS] [--no-reshard] [--chaos-seed N] \
-///     [--manifest-json PATH] [--quiet] [-- LEG_ARGS...]
+///     [--backoff BASE_MS:FACTOR:MAX_MS] [--chaos-seed N] \
+///     [--manifest-json PATH] [--telemetry] [--store-backend KIND] \
+///     [--quiet] [-- LEG_ARGS...]
 /// ```
 ///
 /// Everything after `--` is passed to every leg verbatim (before the
@@ -290,9 +291,6 @@ pub struct DispatchArgs {
     pub pull: Option<String>,
     /// Relaunch backoff schedule (`None`: the dispatcher default).
     pub backoff: Option<BackoffPolicy>,
-    /// Elastic re-sharding of dead shards across idle slots
-    /// (`--no-reshard` turns it off).
-    pub reshard: bool,
     /// Chaos seed armed into every leg's environment (and the
     /// dispatcher's own launch failpoint).
     pub chaos_seed: Option<u64>,
@@ -325,7 +323,6 @@ pub fn dispatch_from_args(args: &[String]) -> Result<DispatchArgs, String> {
         hosts: None,
         pull: None,
         backoff: None,
-        reshard: true,
         chaos_seed: None,
         quiet: false,
         leg_args: Vec::new(),
@@ -365,7 +362,6 @@ pub fn dispatch_from_args(args: &[String]) -> Result<DispatchArgs, String> {
             "--hosts" => parsed.hosts = Some(value("--hosts")?),
             "--pull" => parsed.pull = Some(value("--pull")?),
             "--backoff" => parsed.backoff = Some(value("--backoff")?.parse::<BackoffPolicy>()?),
-            "--no-reshard" => parsed.reshard = false,
             "--chaos-seed" => {
                 parsed.chaos_seed = Some(
                     value("--chaos-seed")?
@@ -721,7 +717,6 @@ mod tests {
             "rsync {host}:dir dir",
             "--backoff",
             "100:2:5000",
-            "--no-reshard",
             "--chaos-seed",
             "7",
         ]))
@@ -732,12 +727,10 @@ mod tests {
         let backoff = d.backoff.unwrap();
         assert_eq!(backoff.base, Duration::from_millis(100));
         assert_eq!(backoff.max, Duration::from_millis(5000));
-        assert!(!d.reshard);
         assert_eq!(d.chaos_seed, Some(7));
         assert!(!resilience_core::failpoint::armed());
 
         let d = dispatch_from_args(&args(&["--name", "c", "--bin", "b"])).unwrap();
-        assert!(d.reshard, "re-sharding defaults on");
         assert_eq!((d.launcher, d.backoff, d.chaos_seed), (None, None, None));
 
         for bad in [

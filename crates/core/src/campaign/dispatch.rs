@@ -38,11 +38,7 @@
 //!    deterministic chunk schedule replays the identical ranges before
 //!    simulating the remainder. Relaunches wait out a
 //!    deterministically-jittered exponential [`BackoffPolicy`] so a
-//!    flapping host is not hammered. When two or more dispatch slots
-//!    sit idle, a dead shard is *re-sharded* instead of rescued 1-for-1:
-//!    its surviving store is partitioned into sub-shard slices
-//!    ([`shard::partition_store_into_slices`]) that resume in parallel
-//!    across the idle slots. A shard that still fails after
+//!    flapping host is not hammered. A shard that still fails after
 //!    [`DispatchConfig::max_attempts`] launches is **abandoned**, not
 //!    allowed to sink the whole dispatch.
 //! 4. **Merge + verify.** Once every surviving shard has a clean leg,
@@ -51,10 +47,10 @@
 //!    can back its manifest. Because the merge normalizes chunk
 //!    provenance, the final manifest is **byte-identical** to a
 //!    single-host run at the same settings — whether or not any leg was
-//!    rescued or re-sharded along the way. If shards were abandoned the
-//!    survivors still merge into a *partial* manifest that lists every
-//!    finished point and passes verification; the report names the
-//!    missing points and `campaign-dispatch` exits non-zero.
+//!    rescued along the way. If shards were abandoned the survivors
+//!    still merge into a *partial* manifest that lists every finished
+//!    point and passes verification; the report names the missing
+//!    points and `campaign-dispatch` exits non-zero.
 //!
 //! Determinism makes the self-healing safe: a packet's RNG stream
 //! depends only on its absolute position in the seed tree, and stopping
@@ -336,7 +332,7 @@ impl std::str::FromStr for BackoffPolicy {
 ///   a pool;
 /// * `{cmd}` — one shell-quoted string that changes into the working
 ///   directory, exports the chaos environment when a seed is armed,
-///   and runs the figure binary with `--shard i/n[:j/m]` appended.
+///   and runs the figure binary with `--shard i/n` appended.
 ///
 /// `ssh {host} {cmd}` is the canonical remote template; the test suite
 /// uses `sh -c {cmd}` to drive the exact same code path locally. An
@@ -560,11 +556,6 @@ pub struct DispatchConfig {
     /// Relaunch schedule: each retry of a shard waits exponentially
     /// longer (deterministically jittered) before its next launch.
     pub backoff: BackoffPolicy,
-    /// Elastic re-sharding: when a shard dies while at least two
-    /// dispatch slots are idle and it is not already a slice, split
-    /// its surviving store into sub-shard slices resumed in parallel
-    /// across those slots instead of a 1-for-1 rescue.
-    pub reshard: bool,
     /// Kill a leg whose artifacts have not changed for this long while
     /// it is still running (`None` disables stall detection — a leg
     /// then only fails by exiting non-zero).
@@ -600,7 +591,6 @@ impl DispatchConfig {
             steal: true,
             max_attempts: 3,
             backoff: BackoffPolicy::default(),
-            reshard: true,
             stall_timeout: Some(Duration::from_secs(600)),
             poll_interval: Duration::from_millis(50),
             telemetry: false,
@@ -628,11 +618,8 @@ pub struct DispatchReport {
     /// Of those, shards whose leg was stall-killed by the heartbeat
     /// monitor (as opposed to dying on its own).
     pub stalled: Vec<ShardSpec>,
-    /// Parent shards that were split into sub-shard slices after a
-    /// failure (elastic re-sharding).
-    pub resharded: Vec<ShardSpec>,
-    /// Shards (or slices) that exhausted their launch attempts; their
-    /// unfinished points are missing from the partial merge.
+    /// Shards that exhausted their launch attempts; their unfinished
+    /// points are missing from the partial merge.
     pub abandoned: Vec<ShardSpec>,
     /// The final merge (partial when shards were abandoned — see
     /// [`MergeReport::missing_points`]).
@@ -667,13 +654,6 @@ impl DispatchReport {
                 "  {} chunk executions ({} packets) were resumed from shard stores \
                  (stolen work, not re-simulated)\n",
                 self.merge.store_served_chunks, self.merge.store_served_packets
-            ));
-        }
-        if !self.resharded.is_empty() {
-            out.push_str(&format!(
-                "  {} dead shard(s) re-split into slices across idle slots: {}\n",
-                self.resharded.len(),
-                spec_list(&self.resharded),
             ));
         }
         if !self.abandoned.is_empty() {
@@ -877,8 +857,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
 
     /// Routes a failed shard (dead leg or failed launch) to its next
     /// life: abort with stealing off, abandonment past the attempt
-    /// cap, an elastic re-shard into idle slots, or a backoff-delayed
-    /// rescue relaunch. Only the no-steal abort returns `Err`.
+    /// cap, or a backoff-delayed rescue relaunch. Only the no-steal
+    /// abort returns `Err`.
     #[allow(clippy::too_many_arguments)]
     fn handle_failure(
         cfg: &DispatchConfig,
@@ -888,7 +868,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
         pending: &mut Vec<PendingLaunch>,
         running: &mut Vec<RunningLeg>,
         report_rescued: &mut Vec<ShardSpec>,
-        report_resharded: &mut Vec<ShardSpec>,
         abandoned: &mut Vec<ShardSpec>,
         events: Option<&EventLog>,
     ) -> io::Result<()> {
@@ -924,48 +903,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
             }
             return Ok(());
         }
-        // Elastic re-shard: with ≥2 slots idle, split the dead shard's
-        // surviving store into slices that resume in parallel. Slices
-        // inherit the parent's attempt count so a deterministic
-        // crasher still terminates at the cap.
-        let idle = (cfg.legs as usize).saturating_sub(running.len() + pending.len());
-        if cfg.reshard && spec.slice.is_none() && idle >= 2 {
-            let slices = (idle as u32).min(4);
-            match shard::partition_store_into_slices(&cfg.name, &cfg.dir, spec, slices) {
-                Ok(slice_specs) => {
-                    report_resharded.push(spec);
-                    telemetry::counter_add(Counter::ReshardSplits, 1);
-                    if let Some(log) = events {
-                        log.emit(
-                            "reshard",
-                            &[
-                                ("shard", Field::Str(&spec.to_string())),
-                                ("slices", Field::U64(u64::from(slices))),
-                                ("why", Field::Str(why)),
-                            ],
-                        );
-                    }
-                    let now = Instant::now();
-                    for slice in slice_specs {
-                        attempts.insert(slice, tried);
-                        let delay = cfg.backoff.delay(tried, slice);
-                        if !delay.is_zero() {
-                            telemetry::counter_add(Counter::BackoffWaits, 1);
-                        }
-                        pending.push(PendingLaunch {
-                            spec: slice,
-                            not_before: now + delay,
-                        });
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Fall through to a plain rescue of the parent — a
-                    // failed partition must not lose the shard.
-                    eprintln!("dispatch {}: re-shard of {spec} failed: {e}", cfg.name);
-                }
-            }
-        }
         // Steal: queue a relaunch over the surviving store — resumed
         // chunks are served from disk, never re-simulated.
         report_rescued.push(spec);
@@ -993,7 +930,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
 
     let mut report_rescued: Vec<ShardSpec> = Vec::new();
     let mut report_stalled: Vec<ShardSpec> = Vec::new();
-    let mut report_resharded: Vec<ShardSpec> = Vec::new();
     let mut abandoned: Vec<ShardSpec> = Vec::new();
     let mut completed: Vec<ShardSpec> = Vec::new();
     let mut attempts: BTreeMap<ShardSpec, u32> = BTreeMap::new();
@@ -1014,8 +950,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
     // Launch + monitor loop: fire pending launches whose backoff has
     // elapsed, then poll every leg; a dead leg is either complete
     // (clean exit + usable manifest) or failed. Failed legs and failed
-    // launches route through `handle_failure` — rescue, re-shard, or
-    // abandon — while attempts remain and stealing is on.
+    // launches route through `handle_failure` — rescue or abandon —
+    // while attempts remain and stealing is on.
     while !running.is_empty() || !pending.is_empty() {
         let now = Instant::now();
         let mut due: Vec<ShardSpec> = Vec::new();
@@ -1056,7 +992,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                     &mut pending,
                     &mut running,
                     &mut report_rescued,
-                    &mut report_resharded,
                     &mut abandoned,
                     events.as_ref(),
                 )?;
@@ -1153,7 +1088,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                 &mut pending,
                 &mut running,
                 &mut report_rescued,
-                &mut report_resharded,
                 &mut abandoned,
                 events.as_ref(),
             )?;
@@ -1166,8 +1100,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
     // Every surviving shard has a clean leg: fold its artifacts back
     // into the single-host files and prove the merged store backs its
     // manifest. The manifest list is explicit — completed specs only —
-    // because with re-sharding the directory can also hold leftovers
-    // of abandoned shards that must stay out of the merge. A 1-leg
+    // because the directory can also hold a stale manifest of an
+    // abandoned shard that must stay out of the merge. A 1-leg
     // dispatch degenerates naturally: the lone unsuffixed manifest is
     // merged in place, canonicalizing store order and provenance.
     completed.sort();
@@ -1210,7 +1144,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                 ),
                 ("rescued", Field::U64(report_rescued.len() as u64)),
                 ("stalled", Field::U64(report_stalled.len() as u64)),
-                ("resharded", Field::U64(report_resharded.len() as u64)),
                 ("abandoned", Field::U64(abandoned.len() as u64)),
                 ("missing_points", Field::U64(merge.missing_points_total)),
             ],
@@ -1229,7 +1162,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
         launched,
         rescued: report_rescued,
         stalled: report_stalled,
-        resharded: report_resharded,
         abandoned,
         merge,
         verify,
@@ -1269,10 +1201,9 @@ mod tests {
             stall_timeout: None,
             poll_interval: Duration::from_millis(1),
             // Mock tests script exact launch sequences; immediate
-            // relaunches and 1-for-1 rescues keep them deterministic.
-            // Backoff and re-sharding have dedicated tests.
+            // relaunches keep them deterministic. Backoff has dedicated
+            // tests.
             backoff: BackoffPolicy::none(),
-            reshard: false,
             ..DispatchConfig::new(NAME, legs, dir)
         }
     }
@@ -1416,8 +1347,8 @@ mod tests {
         }
     }
 
-    /// Scripted launcher: each shard spec (rendered, e.g. `"1/2"` or
-    /// `"1/2:0/2"`) pops its next behavior (defaulting to `Complete`),
+    /// Scripted launcher: each shard spec (rendered, e.g. `"1/2"`) pops
+    /// its next behavior (defaulting to `Complete`),
     /// so tests can fail the first attempt and succeed the rescue.
     struct MockLauncher {
         dir: PathBuf,
@@ -1683,36 +1614,17 @@ mod tests {
     }
 
     #[test]
-    fn dead_shard_is_resharded_across_idle_slots() {
+    fn dead_shard_is_rescued_one_for_one_with_idle_slots() {
         // Shard 0 completes on its first poll, so when shard 1 dies
-        // both slots are idle — instead of a 1-for-1 rescue the shard
-        // is split into two slices that resume in parallel, and the
-        // merge of shard 0 + both slices covers every point.
-        let cfg = DispatchConfig {
-            reshard: true,
-            ..tiny_config("reshard", 2)
-        };
+        // both slots are idle — the dead shard still takes the one
+        // recovery path: a rescue relaunch of the same spec.
+        let cfg = tiny_config("idle-rescue", 2);
         let launcher = MockLauncher::new(&cfg.dir, &[("1/2", &[Behavior::Fail])]);
-        let report = dispatch(&cfg, &launcher).expect("slices finish the dead shard");
-        let parent = ShardSpec::new(1, 2).unwrap();
-        assert_eq!(report.resharded, vec![parent]);
+        let report = dispatch(&cfg, &launcher).expect("the rescue leg finishes the dead shard");
+        assert_eq!(report.rescued, vec![ShardSpec::new(1, 2).unwrap()]);
+        assert_eq!(report.launched, 3);
         assert!(report.abandoned.is_empty());
-        let slice_launches: Vec<ShardSpec> = launcher
-            .launches
-            .borrow()
-            .iter()
-            .map(|&(spec, _)| spec)
-            .filter(|spec| spec.slice.is_some())
-            .collect();
-        assert_eq!(
-            slice_launches,
-            vec![
-                parent.slice_of(0, 2).unwrap(),
-                parent.slice_of(1, 2).unwrap()
-            ],
-            "both slices launched"
-        );
-        assert_eq!(report.merge.points, 2, "no point lost in the split");
+        assert_eq!(report.merge.points, 2, "no point lost");
         assert!(report.merge.missing_points.is_empty());
         assert!(report.verify.ok());
         let _ = fs::remove_dir_all(&cfg.dir);

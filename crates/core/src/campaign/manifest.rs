@@ -549,6 +549,10 @@ mod tests {
         assert_eq!(parsed.settings.shard, ShardSpec::new(1, 3).unwrap());
         assert_eq!(parsed.points_enumerated, 2);
         assert_eq!(parsed.render_json(), json);
+        // The former `i/n:j/m` slice form is no shard spec at all.
+        let slice = json.replace("\"shard\": \"1/3\"", "\"shard\": \"1/2:0/3\"");
+        assert_ne!(slice, json);
+        assert_eq!(Manifest::parse(&slice), None);
     }
 
     #[test]

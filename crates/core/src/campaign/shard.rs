@@ -39,33 +39,18 @@ use super::store::{self, BackendKind, ChunkId, QueryFilter};
 
 /// The shard a process owns, out of `count` total — parsed from
 /// `--shard index/count`. The default `0/1` means "unsharded".
-///
-/// A spec may additionally carry a **slice**: when the dispatcher
-/// re-shards a dead leg's remaining work, shard `i/n` is split into `m`
-/// sub-shards written `i/n:j/m`. A slice leg enumerates the same global
-/// grid as its parent but owns only every `m`-th of the parent's keys
-/// ([`ShardSpec::owns`]), so the slices of a shard partition it exactly
-/// and the merged manifest stays byte-identical to a single-host run.
-/// Slices never nest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardSpec {
     /// Zero-based shard index (`< count`).
     pub index: u32,
     /// Total shard count (`>= 1`).
     pub count: u32,
-    /// Sub-shard assignment `(slice_index, slice_count)` within the
-    /// shard, or `None` for a whole shard.
-    pub slice: Option<(u32, u32)>,
 }
 
 impl ShardSpec {
     /// The unsharded (single-host) spec, `0/1`.
     pub fn single() -> Self {
-        Self {
-            index: 0,
-            count: 1,
-            slice: None,
-        }
+        Self { index: 0, count: 1 }
     }
 
     /// Builds a spec, validating `count >= 1` and `index < count`.
@@ -81,73 +66,28 @@ impl ShardSpec {
                 "expected shard INDEX/COUNT with INDEX < COUNT, got '{index}/{count}'"
             ));
         }
-        Ok(Self {
-            index,
-            count,
-            slice: None,
-        })
-    }
-
-    /// Builds slice `j` of `m` of this shard — the re-sharding
-    /// constructor. A slice of a slice is refused: one level exactly
-    /// partitions a dead shard, and nesting would let file suffixes
-    /// grow without bound across repeated failures.
-    pub fn slice_of(self, slice_index: u32, slice_count: u32) -> Result<Self, String> {
-        if self.slice.is_some() {
-            return Err(format!(
-                "shard {self} is already a slice — slices never nest"
-            ));
-        }
-        if slice_count == 0 || slice_index >= slice_count {
-            return Err(format!(
-                "expected slice INDEX/COUNT with INDEX < COUNT, got '{slice_index}/{slice_count}'"
-            ));
-        }
-        Ok(Self {
-            slice: Some((slice_index, slice_count)),
-            ..self
-        })
-    }
-
-    /// The whole shard this spec belongs to (itself when not a slice).
-    pub fn parent(&self) -> Self {
-        Self {
-            slice: None,
-            ..*self
-        }
+        Ok(Self { index, count })
     }
 
     /// Whether this spec actually splits the point set.
     pub fn is_sharded(&self) -> bool {
-        self.count > 1 || self.slice.is_some()
+        self.count > 1
     }
 
     /// Whether this shard owns the point with the given stable key.
-    /// Ownership is a pure function of `(key, count, slice)` — every
-    /// host partitions identically without coordination. The slices of
-    /// a shard split the parent's key sequence round-robin, so for any
-    /// `m` they partition exactly the keys the parent owns.
+    /// Ownership is a pure function of `(key, count)` — every host
+    /// partitions identically without coordination.
     pub fn owns(&self, key: u64) -> bool {
-        if key % u64::from(self.count.max(1)) != u64::from(self.index) {
-            return false;
-        }
-        match self.slice {
-            Some((j, m)) => {
-                (key / u64::from(self.count.max(1))) % u64::from(m.max(1)) == u64::from(j)
-            }
-            None => true,
-        }
+        key % u64::from(self.count.max(1)) == u64::from(self.index)
     }
 
     /// The file-stem suffix of this shard's store/manifest (empty when
-    /// unsharded, so single-host paths are unchanged). A slice always
-    /// carries the full suffix — even of a `0/1` parent — so slice
-    /// artifacts never collide with whole-shard ones.
+    /// unsharded, so single-host paths are unchanged).
     pub fn suffix(&self) -> String {
-        match self.slice {
-            Some((j, m)) => format!(".shard-{}-of-{}.slice-{j}-of-{m}", self.index, self.count),
-            None if self.count > 1 => format!(".shard-{}-of-{}", self.index, self.count),
-            None => String::new(),
+        if self.count > 1 {
+            format!(".shard-{}-of-{}", self.index, self.count)
+        } else {
+            String::new()
         }
     }
 }
@@ -160,11 +100,7 @@ impl Default for ShardSpec {
 
 impl fmt::Display for ShardSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)?;
-        if let Some((j, m)) = self.slice {
-            write!(f, ":{j}/{m}")?;
-        }
-        Ok(())
+        write!(f, "{}/{}", self.index, self.count)
     }
 }
 
@@ -172,25 +108,11 @@ impl FromStr for ShardSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err =
-            || format!("expected --shard INDEX/COUNT[:SLICE/SLICES] with INDEX < COUNT, got '{s}'");
-        let (shard, slice) = match s.split_once(':') {
-            Some((shard, slice)) => (shard, Some(slice)),
-            None => (s, None),
-        };
-        let (i, n) = shard.split_once('/').ok_or_else(err)?;
+        let err = || format!("expected --shard INDEX/COUNT with INDEX < COUNT, got '{s}'");
+        let (i, n) = s.split_once('/').ok_or_else(err)?;
         let index: u32 = i.trim().parse().map_err(|_| err())?;
         let count: u32 = n.trim().parse().map_err(|_| err())?;
-        let spec = Self::new(index, count).map_err(|_| err())?;
-        match slice {
-            None => Ok(spec),
-            Some(slice) => {
-                let (j, m) = slice.split_once('/').ok_or_else(err)?;
-                let j: u32 = j.trim().parse().map_err(|_| err())?;
-                let m: u32 = m.trim().parse().map_err(|_| err())?;
-                spec.slice_of(j, m).map_err(|_| err())
-            }
-        }
+        Self::new(index, count).map_err(|_| err())
     }
 }
 
@@ -287,23 +209,13 @@ pub fn artifact_shard_spec(name: &str, file_name: &str) -> Option<ShardSpec> {
     artifact_stem_spec(name, stem)
 }
 
-/// Parses `<name>.shard-I-of-N[.slice-J-of-M]` (a file name with its
-/// extension already stripped) into the shard spec.
+/// Parses `<name>.shard-I-of-N` (a file name with its extension
+/// already stripped) into the shard spec.
 fn artifact_stem_spec(name: &str, stem: &str) -> Option<ShardSpec> {
-    let stem = stem.strip_prefix(&format!("{name}.shard-"))?;
-    let (shard, slice) = match stem.split_once(".slice-") {
-        Some((shard, slice)) => (shard, Some(slice)),
-        None => (stem, None),
-    };
-    let (i, n) = shard.split_once("-of-")?;
-    let spec = ShardSpec::new(i.parse().ok()?, n.parse().ok()?).ok()?;
-    match slice {
-        None => Some(spec),
-        Some(slice) => {
-            let (j, m) = slice.split_once("-of-")?;
-            spec.slice_of(j.parse().ok()?, m.parse().ok()?).ok()
-        }
-    }
+    let (i, n) = stem
+        .strip_prefix(&format!("{name}.shard-"))?
+        .split_once("-of-")?;
+    ShardSpec::new(i.parse().ok()?, n.parse().ok()?).ok()
 }
 
 /// Outcome of a [`merge`] call.
@@ -345,8 +257,8 @@ pub struct MergeReport {
 /// sorted by shard index.
 ///
 /// A directory holding manifests of **different `of-N` families** (e.g.
-/// `.shard-0-of-2` next to `.shard-1-of-3`, left over from a re-sharded
-/// run) is an error, not a merge candidate: the families partition the
+/// `.shard-0-of-2` next to `.shard-1-of-3`, left over from a run at a
+/// different shard count) is an error, not a merge candidate: the families partition the
 /// point set differently, so any subset spanning both describes a
 /// nonsense partition. The error tells the operator which families
 /// collided so they can delete the stale one.
@@ -361,7 +273,7 @@ pub fn discover_shard_specs(name: &str, dir: &Path) -> io::Result<Vec<(ShardSpec
         else {
             continue;
         };
-        // Only a valid shard (or slice) spec counts as a shard file —
+        // Only a valid shard spec counts as a shard file —
         // anything else is an unrelated file that happens to share the
         // `<name>.shard-` prefix.
         let Some(spec) = artifact_stem_spec(name, stem) else {
@@ -373,7 +285,7 @@ pub fn discover_shard_specs(name: &str, dir: &Path) -> io::Result<Vec<(ShardSpec
     if families.len() > 1 {
         return Err(invalid(format!(
             "mixed shard families for campaign '{name}' in {}: found manifests of {} — \
-             stale leftovers of a re-sharded run; delete every family but the live one \
+             stale leftovers of a run at another shard count; delete every family but the live one \
              (or merge each family from its own directory)",
             dir.display(),
             families
@@ -519,8 +431,8 @@ pub fn merge_manifests_allowing_partial(
     if !points.iter().map(|p| p.index).eq(0..enumerated) {
         let have: BTreeSet<u64> = points.iter().map(|p| p.index).collect();
         // Duplicate indices (the same point recorded by two shards — a
-        // broken partition, e.g. a slice set merged next to its parent)
-        // and out-of-range indices are corruption regardless of
+        // broken partition, e.g. two manifests claiming one point) and
+        // out-of-range indices are corruption regardless of
         // `allow_partial`; only *missing* points are forgivable.
         if points.len() != have.len() {
             return Err(invalid(format!(
@@ -626,58 +538,6 @@ pub fn merge(name: &str, in_dir: &Path, out_dir: &Path) -> io::Result<MergeRepor
     merge_manifests(name, &manifests, out_dir)
 }
 
-/// Splits a dead shard's result store into `slices` slice stores — the
-/// storage half of elastic re-sharding.
-///
-/// Every record of the parent's store moves to the slice that owns its
-/// point key (same backend, suffixed file names), so each relaunched
-/// slice leg resumes the dead leg's surviving work instead of
-/// re-simulating it. The parent's store, sidecar, manifest and live
-/// telemetry snapshot are then removed: the records now live in the
-/// slice stores, and a leftover parent store would hand a later
-/// `--steal` re-dispatch two overlapping sources of truth. A parent
-/// that died before creating a store partitions trivially (the slices
-/// start fresh). Loading is lenient — the parent died mid-write, so a
-/// torn tail must not block its own rescue.
-pub fn partition_store_into_slices(
-    name: &str,
-    dir: &Path,
-    parent: ShardSpec,
-    slices: u32,
-) -> io::Result<Vec<ShardSpec>> {
-    let specs: Vec<ShardSpec> = (0..slices)
-        .map(|j| parent.slice_of(j, slices))
-        .collect::<Result<_, _>>()
-        .map_err(invalid)?;
-    let (store_path, backend) = match detect_store_file(name, dir, parent) {
-        Ok(found) => found,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(specs),
-        Err(e) => return Err(e),
-    };
-    let load = store::load_all_lenient(&store_path)?;
-    for spec in &specs {
-        let records: Vec<(ChunkId, HarqStats)> = load
-            .records
-            .iter()
-            .filter(|(id, _)| spec.owns(id.point))
-            .cloned()
-            .collect();
-        store::write_records(&dir.join(store_file(name, *spec, backend)), &records)?;
-    }
-    fs::remove_file(&store_path)?;
-    if backend == BackendKind::Indexed {
-        let _ = fs::remove_file(store_path.with_extension("seg.idx"));
-    }
-    for stale in [
-        manifest_file(name, parent),
-        telemetry_file(name, parent),
-        prom_file(name, parent),
-    ] {
-        let _ = fs::remove_file(dir.join(stale));
-    }
-    Ok(specs)
-}
-
 /// The settings identity shards must agree on (everything except the
 /// shard assignment itself; `resume` is not rendered into manifests).
 fn normalized_settings(m: &Manifest) -> super::CampaignSettings {
@@ -728,9 +588,9 @@ pub fn verify(name: &str, dir: &Path, shard: ShardSpec) -> io::Result<VerifyRepo
 }
 
 /// [`verify`] with an optional **strict** pass that additionally checks
-/// per-point store-provenance consistency — the invariants a rescued or
-/// re-sharded merge must preserve: a point cannot have served more
-/// chunks (or packets) from the store than it ran in total, and chunk
+/// per-point store-provenance consistency — the invariants a rescued
+/// merge must preserve: a point cannot have served more chunks (or
+/// packets) from the store than it ran in total, and chunk
 /// and packet provenance must agree on whether *any* resume happened
 /// (every stored chunk carries at least one packet). Merged manifests
 /// normalize provenance to zero, which trivially satisfies all three.
@@ -1118,7 +978,9 @@ fn find_cover(chunks: &[(usize, usize)], target: usize) -> Option<Vec<(usize, us
             return false;
         };
         for &len in lens {
-            if pos + len <= target {
+            // `pos <= target` holds on every call; `pos + len` could
+            // overflow on a store-supplied range.
+            if len <= target - pos {
                 cover.push((pos, len));
                 if rec(by_start, pos + len, target, cover) {
                     return true;
@@ -1142,7 +1004,9 @@ mod tests {
             "2/4".parse::<ShardSpec>().unwrap(),
             ShardSpec::new(2, 4).unwrap()
         );
-        for bad in ["", "3", "1/0", "4/4", "5/4", "a/2", "1/b", "-1/2"] {
+        for bad in [
+            "", "3", "1/0", "4/4", "5/4", "a/2", "1/b", "-1/2", "1/2:0/3",
+        ] {
             assert!(bad.parse::<ShardSpec>().is_err(), "{bad}");
         }
         assert_eq!(ShardSpec::new(1, 3).unwrap().to_string(), "1/3");
@@ -1206,6 +1070,13 @@ mod tests {
         // Unsuffixed (single-host) artifacts carry no shard spec.
         assert_eq!(artifact_shard_spec("fig6", "fig6.jsonl"), None);
         assert_eq!(artifact_shard_spec("fig6", "other.shard-0-of-2.seg"), None);
+        // Artifacts of the former `i/n:j/m` slice naming are ignored.
+        for j in 0..3 {
+            for ext in ["jsonl", "seg", "seg.idx", "manifest.json"] {
+                let file = format!("fig6.shard-1-of-2.slice-{j}-of-3.{ext}");
+                assert_eq!(artifact_shard_spec("fig6", &file), None, "{file}");
+            }
+        }
     }
 
     #[test]
@@ -1252,6 +1123,13 @@ mod tests {
         assert_eq!(find_cover(&[(0, 8), (4, 8)], 12), None);
         // Empty target is trivially covered.
         assert_eq!(find_cover(&[], 0), Some(vec![]));
+        // Store-supplied ranges whose end overflows `usize` are skipped,
+        // not wrapped around to position 0.
+        assert_eq!(
+            find_cover(&[(1, usize::MAX), (0, 1), (1, 3)], 4),
+            Some(vec![(0, 1), (1, 3)])
+        );
+        assert_eq!(find_cover(&[(0, 8), (8, usize::MAX)], 16), None);
     }
 
     /// A minimal single-point shard manifest for file-level tests.
@@ -1303,8 +1181,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("shard-mixed-family-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        // `.shard-0-of-2` next to `.shard-1-of-3`: leftovers of a
-        // re-sharded run must not be merged as one partition.
+        // `.shard-0-of-2` next to `.shard-1-of-3`: leftovers of a run
+        // at another shard count must not be merged as one partition.
         for spec in [ShardSpec::new(0, 2).unwrap(), ShardSpec::new(1, 3).unwrap()] {
             tiny_manifest("c", spec)
                 .write(&dir.join(manifest_file("c", spec)))
@@ -1339,181 +1217,6 @@ mod tests {
         m.write(&wrong_name).unwrap();
         let err = merge_manifests("c", &[wrong_name], &dir.join("out")).unwrap_err();
         assert!(err.to_string().contains("renamed"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn slice_specs_parse_render_and_name_artifacts() {
-        let spec = "1/2:0/3".parse::<ShardSpec>().unwrap();
-        assert_eq!(spec, ShardSpec::new(1, 2).unwrap().slice_of(0, 3).unwrap());
-        assert_eq!(spec.to_string(), "1/2:0/3");
-        assert!(spec.is_sharded());
-        assert_eq!(spec.parent(), ShardSpec::new(1, 2).unwrap());
-        assert_eq!(spec.suffix(), ".shard-1-of-2.slice-0-of-3");
-        // A slice of the unsharded spec still gets a full suffix, so
-        // its artifacts cannot collide with the single-host files.
-        let single_slice = ShardSpec::single().slice_of(1, 2).unwrap();
-        assert_eq!(single_slice.suffix(), ".shard-0-of-1.slice-1-of-2");
-        assert_eq!(single_slice.to_string(), "0/1:1/2");
-        for bad in ["1/2:3/3", "1/2:0/0", "1/2:a/2", "1/2:", "1/2:1"] {
-            assert!(bad.parse::<ShardSpec>().is_err(), "{bad}");
-        }
-        assert!(spec.slice_of(0, 2).is_err(), "slices never nest");
-        // Round-trip through the artifact-name parsers.
-        for file in [
-            "fig6.shard-1-of-2.slice-0-of-3.jsonl",
-            "fig6.shard-1-of-2.slice-0-of-3.seg",
-            "fig6.shard-1-of-2.slice-0-of-3.seg.idx",
-            "fig6.shard-1-of-2.slice-0-of-3.manifest.json",
-        ] {
-            assert_eq!(artifact_shard_spec("fig6", file), Some(spec), "{file}");
-        }
-        assert_eq!(
-            artifact_shard_spec("fig6", "fig6.shard-1-of-2.slice-9-of-3.jsonl"),
-            None,
-            "out-of-range slice is not an artifact"
-        );
-    }
-
-    #[test]
-    fn slices_partition_their_parent_exactly() {
-        for count in 1..=4u32 {
-            for index in 0..count {
-                let parent = ShardSpec::new(index, count).unwrap();
-                for m in 1..=4u32 {
-                    for key in (0u64..300).chain([u64::MAX, u64::MAX - 11]) {
-                        let owners = (0..m)
-                            .filter(|&j| parent.slice_of(j, m).unwrap().owns(key))
-                            .count();
-                        assert_eq!(
-                            owners,
-                            usize::from(parent.owns(key)),
-                            "key {key} parent {parent} m {m}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_store_into_slices_moves_every_record_once() {
-        let dir = std::env::temp_dir().join(format!("shard-partition-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let parent = ShardSpec::new(1, 2).unwrap();
-        // Keys 1, 3, 5, 7 belong to shard 1/2; two chunks for one key.
-        let stats = |packets: u64| hspa_phy::harq::HarqStats {
-            packets,
-            delivered: packets,
-            transmissions: packets,
-            info_bits: 10,
-            failures_at: vec![0; packets as usize],
-        };
-        let records: Vec<(ChunkId, hspa_phy::harq::HarqStats)> = [1u64, 3, 5, 7]
-            .iter()
-            .flat_map(|&key| {
-                [
-                    (
-                        ChunkId {
-                            point: key,
-                            first_packet: 0,
-                            n_packets: 4,
-                        },
-                        stats(4),
-                    ),
-                    (
-                        ChunkId {
-                            point: key,
-                            first_packet: 4,
-                            n_packets: 4,
-                        },
-                        stats(4),
-                    ),
-                ]
-            })
-            .collect();
-        let parent_store = dir.join(store_file("c", parent, BackendKind::Jsonl));
-        store::write_records(&parent_store, &records).unwrap();
-
-        let slices = partition_store_into_slices("c", &dir, parent, 2).unwrap();
-        assert_eq!(slices.len(), 2);
-        assert!(!parent_store.exists(), "parent store must be retired");
-        let mut moved: Vec<(ChunkId, hspa_phy::harq::HarqStats)> = Vec::new();
-        for (j, slice) in slices.iter().enumerate() {
-            assert_eq!(*slice, parent.slice_of(j as u32, 2).unwrap());
-            let (recs, malformed) =
-                store::load_all(&dir.join(store_file("c", *slice, BackendKind::Jsonl))).unwrap();
-            assert_eq!(malformed, 0);
-            for (id, _) in &recs {
-                assert!(slice.owns(id.point), "slice {slice} holds foreign key");
-            }
-            moved.extend(recs);
-        }
-        moved.sort_by_key(|(id, _)| *id);
-        let mut expected = records.clone();
-        expected.sort_by_key(|(id, _)| *id);
-        assert_eq!(moved, expected, "every record moves to exactly one slice");
-
-        // A parent that never created a store partitions trivially.
-        let ghost = ShardSpec::new(0, 2).unwrap();
-        let slices = partition_store_into_slices("c", &dir, ghost, 3).unwrap();
-        assert_eq!(slices.len(), 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn slice_manifests_merge_like_their_parent() {
-        // Shard 0/2 completed whole; shard 1/2 died and was re-sharded
-        // into two slices. The merged result must equal what the
-        // two-parent merge would have produced.
-        let dir = std::env::temp_dir().join(format!("shard-slice-merge-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-
-        // Global enumeration: two points, keys 2 (shard 0) and 3
-        // (shard 1). Shard 1's only point lands in slice (3/2)%2 = 1.
-        let make = |spec: ShardSpec, index: u64, key: u64| {
-            let mut m = tiny_manifest("c", spec);
-            m.points[0].index = index;
-            m.points[0].key = key;
-            m.points[0].label = format!("p{key}");
-            m
-        };
-        let s0 = ShardSpec::new(0, 2).unwrap();
-        let slice0 = ShardSpec::new(1, 2).unwrap().slice_of(0, 2).unwrap();
-        let slice1 = ShardSpec::new(1, 2).unwrap().slice_of(1, 2).unwrap();
-        let mut paths = Vec::new();
-        for (spec, points) in [
-            (s0, vec![(0u64, 2u64)]),
-            (slice0, vec![]),
-            (slice1, vec![(1, 3)]),
-        ] {
-            let mut m = tiny_manifest("c", spec);
-            m.points.clear();
-            for (index, key) in points {
-                let donor = make(spec, index, key);
-                m.points.push(donor.points[0].clone());
-            }
-            let path = dir.join(manifest_file("c", spec));
-            m.write(&path).unwrap();
-            fs::write(dir.join(store_file("c", spec, BackendKind::Jsonl)), "").unwrap();
-            paths.push(path);
-        }
-        let report = merge_manifests("c", &paths, &dir.join("out")).unwrap();
-        assert_eq!(report.shards, 3);
-        assert_eq!(report.points, 2);
-        assert!(report.missing_points.is_empty());
-        let merged = Manifest::read(&report.manifest_path).unwrap();
-        assert_eq!(merged.settings.shard, ShardSpec::single());
-        assert_eq!(merged.points.len(), 2);
-
-        // An empty-slice manifest does not break discovery either.
-        let discovered = discover_shard_specs("c", &dir).unwrap();
-        assert_eq!(
-            discovered.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![s0, slice0, slice1]
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

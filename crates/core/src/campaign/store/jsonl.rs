@@ -327,6 +327,20 @@ mod tests {
             panic!("delivered > packets must classify as corrupt");
         };
         assert!(why.contains("underflow"), "{why}");
+        // A range whose end overflows `usize` would wrap the chunk-cover
+        // search in `verify`/`gc`; it parses but must classify corrupt.
+        let overflowing = ChunkId {
+            point: 1,
+            first_packet: 8,
+            n_packets: usize::MAX,
+        };
+        let mut huge = sample_stats();
+        huge.packets = u64::MAX;
+        let Err(LineIssue::Corrupt(why)) = classify_record(&encode_record(overflowing, &huge))
+        else {
+            panic!("an overflowing chunk range must classify as corrupt");
+        };
+        assert!(why.contains("overflows"), "{why}");
     }
 
     #[test]

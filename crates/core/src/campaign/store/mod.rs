@@ -359,6 +359,12 @@ pub(super) fn corrupt_error(path: &Path, loc: impl fmt::Display, why: &str) -> s
 /// Checks the cross-field stats invariants both backends enforce; a
 /// violation means the record must not feed merged statistics.
 pub(super) fn validate_record(id: ChunkId, stats: &HarqStats) -> Result<(), String> {
+    if id.first_packet.checked_add(id.n_packets).is_none() {
+        return Err(format!(
+            "chunk range {}+{} overflows the packet index",
+            id.first_packet, id.n_packets
+        ));
+    }
     if stats.packets != id.n_packets as u64 {
         return Err(format!(
             "stats cover {} packets but the chunk range claims {}",

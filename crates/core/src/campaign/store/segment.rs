@@ -115,39 +115,24 @@ impl SegmentBackend {
             }
         }
 
-        // The sidecar is advisory: any damage falls back to covered=0,
-        // i.e. a full segment scan.
-        let (mut frames, covered) = match backend.read_index(seg_len) {
-            Some(ok) => ok,
-            None => (Vec::new(), SEG_HEADER),
-        };
-
-        // Replay the tail the checkpoint does not cover. Strict
-        // semantics, like the JSONL resume load: a torn trailing frame
-        // is truncated away, a corrupt frame is an error naming gc.
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(covered))?;
-        let mut tail = Vec::new();
-        file.read_to_end(&mut tail)?;
-        let mut pos = 0usize;
-        let mut truncate_at = None;
-        while pos < tail.len() {
-            match read_frame(&tail[pos..]) {
-                FrameRead::Ok(id, stats, consumed) => {
-                    validate_record(id, &stats)
-                        .map_err(|why| corrupt_error(path, covered + pos as u64, &why))?;
-                    frames.push((id, covered + pos as u64));
-                    pos += consumed;
-                }
-                FrameRead::Torn => {
-                    truncate_at = Some(covered + pos as u64);
-                    break;
-                }
-                FrameRead::Corrupt(why) => {
-                    return Err(corrupt_error(path, covered + pos as u64, &why));
-                }
+        // The sidecar is advisory: any damage falls back to a full
+        // segment scan. That includes a checkpoint whose tail does not
+        // replay cleanly — a damaged `covered` word can point mid-frame,
+        // and its misread must neither reject nor truncate real frames.
+        let checkpoint = backend
+            .read_index(seg_len)
+            .and_then(|(mut frames, covered)| {
+                matches!(replay_tail(path, &mut frames, covered), Ok(None))
+                    .then_some((frames, covered))
+            });
+        let (frames, covered, truncate_at) = match checkpoint {
+            Some((frames, covered)) => (frames, covered, None),
+            None => {
+                let mut frames = Vec::new();
+                let truncate_at = replay_tail(path, &mut frames, SEG_HEADER)?;
+                (frames, SEG_HEADER, truncate_at)
             }
-        }
+        };
         backend.end = truncate_at.unwrap_or(seg_len);
         if truncate_at.is_some() {
             OpenOptions::new()
@@ -408,6 +393,35 @@ impl StoreBackend for SegmentBackend {
     }
 }
 
+/// Replays the segment from byte `covered` on, appending each frame's
+/// `(id, offset)` to `frames`. Strict semantics, like the JSONL resume
+/// load: a corrupt frame is an error naming gc, and a torn trailing
+/// frame ends the replay, returning the offset to truncate at.
+fn replay_tail(
+    path: &Path,
+    frames: &mut Vec<(ChunkId, u64)>,
+    covered: u64,
+) -> std::io::Result<Option<u64>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(covered))?;
+    let mut tail = Vec::new();
+    file.read_to_end(&mut tail)?;
+    let mut pos = 0usize;
+    while pos < tail.len() {
+        let at = covered + pos as u64;
+        match read_frame(&tail[pos..]) {
+            FrameRead::Ok(id, stats, consumed) => {
+                validate_record(id, &stats).map_err(|why| corrupt_error(path, at, &why))?;
+                frames.push((id, at));
+                pos += consumed;
+            }
+            FrameRead::Torn => return Ok(Some(at)),
+            FrameRead::Corrupt(why) => return Err(corrupt_error(path, at, &why)),
+        }
+    }
+    Ok(None)
+}
+
 /// One attempt to decode a frame from the head of `bytes`.
 enum FrameRead {
     /// A valid frame: id, stats, and the bytes it consumed.
@@ -442,10 +456,13 @@ fn read_frame(bytes: &[u8]) -> FrameRead {
     }
     // lint: allow(no-unwrap, infallible: the payload shape checks above guarantee every 8-byte word slice)
     let word = |i: usize| u64::from_le_bytes(payload[i * 8..(i + 1) * 8].try_into().unwrap());
-    let n_failures = word(7) as usize;
-    if n_failures * 8 != payload_len - PAYLOAD_FIXED {
+    // The count word is untrusted: compare it against what the payload
+    // holds instead of scaling it, which could overflow.
+    let n_failures = (payload_len - PAYLOAD_FIXED) / 8;
+    if word(7) != n_failures as u64 {
         return FrameRead::Corrupt(format!(
-            "frame claims {n_failures} failure entries in a {payload_len}-byte payload"
+            "frame claims {} failure entries in a {payload_len}-byte payload",
+            word(7)
         ));
     }
     let id = ChunkId {
@@ -606,8 +623,17 @@ mod tests {
         // valid checksum: parses, but must never feed statistics.
         let mut bad = sample_stats();
         bad.delivered = bad.packets + 2;
+        // A range whose end overflows `usize`, likewise checksummed.
+        let overflowing = ChunkId {
+            point: 7,
+            first_packet: 8,
+            n_packets: usize::MAX,
+        };
+        let mut huge = sample_stats();
+        huge.packets = u64::MAX;
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&encode_frame(id(7, 0), &bad)).unwrap();
+        f.write_all(&encode_frame(overflowing, &huge)).unwrap();
         f.write_all(&encode_frame(id(8, 0), &sample_stats()))
             .unwrap();
         drop(f);
@@ -619,7 +645,7 @@ mod tests {
 
         let load = load_all_lenient(&path).unwrap();
         assert_eq!(load.records.len(), 2, "good frames survive");
-        assert_eq!((load.torn_lines, load.corrupt_records), (0, 1));
+        assert_eq!((load.torn_lines, load.corrupt_records), (0, 2));
 
         // gc's rewrite path: write back only the good records.
         write_records(&path, &load.records).unwrap();
@@ -654,6 +680,152 @@ mod tests {
         // …and the damage surfaces as a fetch miss, not a panic.
         assert!(store.fetch(id(9, 0)).is_none());
         assert_eq!(store.misses, 1);
+        clean(&path);
+    }
+
+    /// A checksummed frame of the fixed fields only, whose failure-count
+    /// word claims `count` entries.
+    fn frame_claiming_failures(count: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for word in [1, 0, 8, 8, 6, 14, 120, count] {
+            payload.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        let mut frame = Vec::from((payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn overflowing_failure_count_is_a_corrupt_frame() {
+        // 2^61 entries of 8 bytes wrap to a 0-byte array, matching the
+        // empty failures section of a 64-byte payload.
+        let frame = frame_claiming_failures(1 << 61);
+        assert!(matches!(read_frame(&frame), FrameRead::Corrupt(_)));
+        let path = temp_store_path("seg-2pow61", "seg");
+        clean(&path);
+        fs::write(&path, [&SEG_MAGIC[..], &frame].concat()).unwrap();
+        let err = load_all(&path).unwrap_err();
+        assert!(err.to_string().contains("campaign-admin gc"), "{err}");
+        let load = load_all_lenient(&path).unwrap();
+        assert!(load.records.is_empty());
+        assert_eq!(load.corrupt_records, 1);
+        assert!(ResultStore::open(&path, true).is_err());
+        clean(&path);
+    }
+
+    #[test]
+    fn segment_readers_are_total_on_prefixes_and_bit_flips() {
+        let path = temp_store_path("seg-total", "seg");
+        let idx = path.with_extension("seg.idx");
+        clean(&path);
+        // Distinct stats per chunk, so a reader that served one chunk's
+        // frame for another would be caught.
+        let records: Vec<(ChunkId, HarqStats)> = [id(1, 0), id(1, 8), id(2, 0)]
+            .into_iter()
+            .zip([6, 5, 4])
+            .map(|(id, delivered)| {
+                let mut stats = sample_stats();
+                stats.delivered = delivered;
+                (id, stats)
+            })
+            .collect();
+        {
+            let mut store = ResultStore::open(&path, true).unwrap();
+            for (id, stats) in &records {
+                store.put(*id, stats).unwrap();
+            }
+        }
+        // A reopen checkpoints a sidecar covering every frame.
+        drop(ResultStore::open(&path, true).unwrap());
+        let seg = fs::read(&path).unwrap();
+        let sidecar = fs::read(&idx).unwrap();
+        assert_eq!(sidecar.len(), 16 + 32 * records.len());
+
+        // Every reader over one (segment, sidecar) pair. Errors and
+        // misses are allowed; panics and records that were never
+        // written are not.
+        let known = |got: &[(ChunkId, HarqStats)]| {
+            for r in got {
+                assert!(records.contains(r), "unknown record {r:?}");
+            }
+        };
+        let exercise = |seg: &[u8], sidecar: Option<&[u8]>| {
+            fs::write(&path, seg).unwrap();
+            match sidecar {
+                Some(bytes) => fs::write(&idx, bytes).unwrap(),
+                None => {
+                    let _ = fs::remove_file(&idx);
+                }
+            }
+            if let Ok((got, _)) = load_all(&path) {
+                known(&got);
+            }
+            if let Ok(load) = load_all_lenient(&path) {
+                known(&load.records);
+            }
+            if let Ok(mut store) = ResultStore::open(&path, true) {
+                for (id, stats) in &records {
+                    if let Some(got) = store.fetch(*id) {
+                        assert_eq!(&got, stats, "{id:?}");
+                    }
+                }
+            }
+        };
+        let flips = |bytes: &[u8]| -> Vec<Vec<u8>> {
+            (0..bytes.len() * 8)
+                .map(|bit| {
+                    let mut flipped = bytes.to_vec();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    flipped
+                })
+                .collect()
+        };
+
+        // A strict prefix of the segment is a torn write: the strict
+        // scan keeps exactly the whole frames before the cut.
+        for cut in 0..seg.len() {
+            exercise(&seg[..cut], Some(&sidecar));
+            fs::write(&path, &seg[..cut]).unwrap();
+            match load_all(&path) {
+                Ok((got, _)) => assert!(records.starts_with(&got), "cut {cut}"),
+                Err(_) => assert!((1..SEG_HEADER as usize).contains(&cut), "cut {cut}"),
+            }
+        }
+        for flipped in flips(&seg) {
+            exercise(&flipped, Some(&sidecar));
+            exercise(&flipped, None);
+        }
+        // A damaged sidecar costs at most a full scan and some misses:
+        // open succeeds and every frame survives it.
+        let sidecars = (0..sidecar.len())
+            .map(|cut| sidecar[..cut].to_vec())
+            .chain(flips(&sidecar));
+        for damaged in sidecars {
+            exercise(&seg, Some(&damaged));
+            fs::write(&path, &seg).unwrap();
+            fs::write(&idx, &damaged).unwrap();
+            ResultStore::open(&path, true).unwrap();
+            assert_eq!(load_all(&path).unwrap(), (records.clone(), 0));
+        }
+        // A `covered` word pointing at the last frame's `info_bits`
+        // (120, followed by the count word and four failure entries)
+        // reads as a frame longer than the rest of the file: replayed
+        // from there it looks torn, and truncating at it would drop a
+        // valid frame.
+        let mut mid_frame = sidecar.clone();
+        mid_frame[8..16].copy_from_slice(&(seg.len() as u64 - 48).to_le_bytes());
+        fs::write(&path, &seg).unwrap();
+        fs::write(&idx, &mid_frame).unwrap();
+        ResultStore::open(&path, true).unwrap();
+        assert!(
+            fs::read(&path).unwrap() == seg,
+            "a valid frame was truncated"
+        );
+        // The crafted 2^61-entry frame, as the store's tail.
+        let crafted = [&seg[..], &frame_claiming_failures(1 << 61)].concat();
+        exercise(&crafted, Some(&sidecar));
+        exercise(&crafted, None);
         clean(&path);
     }
 }

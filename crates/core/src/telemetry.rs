@@ -92,9 +92,6 @@ pub enum Counter {
     LaunchFailures,
     /// Dispatcher: relaunches delayed by the exponential-backoff policy.
     BackoffWaits,
-    /// Dispatcher: dead shards split into slice sub-shards (elastic
-    /// re-sharding events, not slice legs — one split may launch many).
-    ReshardSplits,
     /// Dispatcher: shards abandoned after exhausting the attempt cap
     /// (the campaign degrades to a partial merge).
     ShardsAbandoned,
@@ -116,7 +113,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::PacketsSimulated,
         Counter::WavesDecoded,
         Counter::StoreChunkHits,
@@ -133,7 +130,6 @@ impl Counter {
         Counter::StoreIndexStaleMisses,
         Counter::LaunchFailures,
         Counter::BackoffWaits,
-        Counter::ReshardSplits,
         Counter::ShardsAbandoned,
         Counter::StageEncodeNanos,
         Counter::StageModulateNanos,
@@ -165,7 +161,6 @@ impl Counter {
             Counter::StoreIndexStaleMisses => "store_index_stale_misses",
             Counter::LaunchFailures => "launch_failures",
             Counter::BackoffWaits => "backoff_waits",
-            Counter::ReshardSplits => "reshard_splits",
             Counter::ShardsAbandoned => "shards_abandoned",
             Counter::StageEncodeNanos => "stage_encode_nanos",
             Counter::StageModulateNanos => "stage_modulate_nanos",

@@ -7,9 +7,6 @@
 //!   appendable.
 //! * A segment-index entry pointing at an unreadable frame is served as
 //!   a miss, counted in `store_index_stale_misses` — never wrong data.
-//! * `partition_store_into_slices` (elastic re-sharding's storage half)
-//!   moves every surviving record to exactly the slice that owns it and
-//!   removes the parent store.
 //! * A partial merge of the surviving shards of an abandoned dispatch
 //!   names the missing points and still passes `verify` — including the
 //!   `--strict` provenance audit.
@@ -139,50 +136,6 @@ fn stale_segment_index_entry_is_a_counted_miss_not_wrong_data() {
     assert_eq!(resumed.fetch(records[0].0).as_ref(), Some(&records[0].1));
 
     let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn partition_moves_every_record_to_the_slice_that_owns_it() {
-    for backend in [BackendKind::Jsonl, BackendKind::Indexed] {
-        let dir = temp_dir(&format!("partition-{backend:?}"));
-        let parent = ShardSpec::single();
-        let parent_path = dir.join(shard::store_file(NAME, parent, backend));
-        let records: Vec<(ChunkId, HarqStats)> = (0..10).map(|p| record(p, 0)).collect();
-        store::write_records(&parent_path, &records).unwrap();
-
-        let slices = shard::partition_store_into_slices(NAME, &dir, parent, 3).unwrap();
-        assert_eq!(
-            slices,
-            (0..3)
-                .map(|j| parent.slice_of(j, 3).unwrap())
-                .collect::<Vec<_>>()
-        );
-        assert!(
-            !parent_path.exists(),
-            "the parent store must not survive as a second source of truth"
-        );
-
-        let mut gathered: Vec<(ChunkId, HarqStats)> = Vec::new();
-        for spec in &slices {
-            let slice_path = dir.join(shard::store_file(NAME, *spec, backend));
-            let (recs, malformed) = store::load_all(&slice_path).unwrap();
-            assert_eq!(malformed, 0);
-            for (id, _) in &recs {
-                assert!(
-                    spec.owns(id.point),
-                    "record {:016x} landed in slice {spec} which does not own it",
-                    id.point
-                );
-            }
-            gathered.extend(recs);
-        }
-        gathered.sort_by_key(|(id, _)| *id);
-        let mut want = records;
-        want.sort_by_key(|(id, _)| *id);
-        assert_eq!(gathered, want, "partition must move records losslessly");
-
-        let _ = fs::remove_dir_all(&dir);
-    }
 }
 
 fn demo_points(cfg: &SystemConfig) -> Vec<CampaignPoint> {

@@ -5,10 +5,7 @@
 //! any kill point, the replayed schedule serves every surviving record
 //! from disk and simulates only the remainder — and the merged manifest
 //! must stay byte-identical to a fresh run's no matter how much of the
-//! store was resumed (chunk provenance is normalized away). The same
-//! holds for a **multi-way steal** (elastic re-sharding): the dead
-//! leg's store partitioned into slice sub-shards, each resumed by its
-//! own rescue leg, must merge back to the identical bytes.
+//! store was resumed (chunk provenance is normalized away).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -142,86 +139,5 @@ proptest! {
 
         let _ = fs::remove_dir_all(&ref_dir);
         let _ = fs::remove_dir_all(&rescue_dir);
-    }
-
-    /// A multi-way steal — the dead leg's truncated store partitioned
-    /// into `slices` slice sub-shards, each resumed by its own rescue
-    /// leg — must (a) serve every surviving record from disk across the
-    /// slices combined, and (b) merge the slice manifests back to bytes
-    /// identical to the uninterrupted run's merged manifest.
-    #[test]
-    fn multi_way_steal_merges_byte_identical(
-        initial_chunk in 1usize..7,
-        max_packets in 1usize..30,
-        cut_code in 0usize..1000,
-        slices in 2u32..=4,
-    ) {
-        let tag = format!("multi-{initial_chunk}-{max_packets}-{cut_code}-{slices}");
-        let ref_dir = temp_dir(&format!("{tag}-ref"));
-        let steal_dir = temp_dir(&format!("{tag}-steal"));
-        let _ = fs::remove_dir_all(&ref_dir);
-        let _ = fs::remove_dir_all(&steal_dir);
-        let settings = CampaignSettings {
-            initial_chunk,
-            ..Default::default()
-        };
-
-        run_campaign(&ref_dir, settings, max_packets);
-        let store_name = shard::store_file(NAME, settings.shard, settings.backend);
-        let full = fs::read_to_string(ref_dir.join(&store_name)).unwrap();
-        let lines: Vec<&str> = full.lines().collect();
-
-        // Kill the leg mid-run, leaving a line-prefix of its store.
-        let k = cut_code % (lines.len() + 1);
-        fs::create_dir_all(&steal_dir).unwrap();
-        let mut truncated: String = lines[..k].join("\n");
-        if k > 0 {
-            truncated.push('\n');
-        }
-        fs::write(steal_dir.join(&store_name), truncated).unwrap();
-
-        // Elastic re-sharding: split the dead leg's store and resume
-        // each slice with its own in-process "rescue leg".
-        let slice_specs = shard::partition_store_into_slices(
-            NAME,
-            &steal_dir,
-            settings.shard,
-            slices,
-        )
-        .unwrap();
-        prop_assert_eq!(slice_specs.len(), slices as usize);
-        let mut served = 0u64;
-        for spec in &slice_specs {
-            let slice_settings = CampaignSettings {
-                shard: *spec,
-                ..settings
-            };
-            let report = run_campaign(&steal_dir, slice_settings, max_packets);
-            served += report.chunks_from_store();
-        }
-        prop_assert_eq!(
-            served,
-            k as u64,
-            "across the slices, every surviving record must be a store hit"
-        );
-
-        // The slice manifests merge to the reference run's exact bytes.
-        let manifest_name = shard::manifest_file(NAME, settings.shard);
-        let ref_out = ref_dir.join("merged");
-        shard::merge_manifests(NAME, &[ref_dir.join(&manifest_name)], &ref_out).unwrap();
-        let slice_manifests: Vec<PathBuf> = slice_specs
-            .iter()
-            .map(|spec| steal_dir.join(shard::manifest_file(NAME, *spec)))
-            .collect();
-        let steal_out = steal_dir.join("merged");
-        shard::merge_manifests(NAME, &slice_manifests, &steal_out).unwrap();
-        prop_assert_eq!(
-            fs::read_to_string(ref_out.join(&manifest_name)).unwrap(),
-            fs::read_to_string(steal_out.join(&manifest_name)).unwrap(),
-            "a re-sharded steal must not leak into the merged manifest"
-        );
-
-        let _ = fs::remove_dir_all(&ref_dir);
-        let _ = fs::remove_dir_all(&steal_dir);
     }
 }
