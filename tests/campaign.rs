@@ -235,6 +235,60 @@ fn exhaustive_campaign_grid_and_sweep_match_the_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The worst-case seed tree at [`SEED`], as known values: a 2-storage ×
+/// 2-SNR grid (row `r` draws `derive_seed(SEED, r)`, column `c` the point
+/// seed `derive_seed(row, 0x100 + c)`, and the whole row shares the die
+/// `derive_seed(row, STREAM_FAULT_MAP)`), then a 3-SNR sweep of the
+/// faulty storage (point `i` draws `derive_seed(SEED, i)` and its own
+/// die). Each entry is `(row, snr, label, seed, fault_seed)`.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const PINNED_TREE: [(usize, f64, &str, u64, Option<u64>); 7] = [
+    (0, 8.0, "quantized @ 8 dB", 0x06b6_f618_f8b0_db0b, Some(0x3fc2_2ff4_0e11_9c84)),
+    (0, 16.0, "quantized @ 16 dB", 0x2e32_c102_4ae2_2f6d, Some(0x3fc2_2ff4_0e11_9c84)),
+    (1, 8.0, "6T, Nf=10.00% @ 8 dB", 0x86fc_107d_9d66_72a8, Some(0x0e23_cd66_b578_2926)),
+    (1, 16.0, "6T, Nf=10.00% @ 16 dB", 0xc1cd_3376_a6be_5aeb, Some(0x0e23_cd66_b578_2926)),
+    (1, 4.0, "6T, Nf=10.00% @ 4 dB", 0xe344_75c6_330f_594f, None),
+    (1, 12.5, "6T, Nf=10.00% @ 12.5 dB", 0x0d77_b99d_5049_5d9d, None),
+    (1, 20.0, "6T, Nf=10.00% @ 20 dB", 0x966c_7eb8_7916_8aa2, None),
+];
+
+#[test]
+fn grid_and_sweep_seed_trees_are_pinned() {
+    use resilience_core::campaign::hash::{point_fingerprint, point_key};
+    let sim = sim();
+    let cfg = *sim.config();
+    let storages = [
+        StorageConfig::Quantized,
+        StorageConfig::unprotected(0.10, cfg.llr_bits),
+    ];
+    let dir = temp_dir("seed-tree");
+    let _ = std::fs::remove_dir_all(&dir);
+    let campaign = Campaign::new(
+        "seed-tree",
+        CampaignSettings::exhaustive(),
+        SimulationEngine::serial(),
+    )
+    .with_store_dir(&dir);
+    campaign.run_grid(&sim, &storages, &[8.0, 16.0], 1, SEED);
+    campaign.run_sweep(&sim, &storages[1], &[4.0, 12.5, 20.0], 1, SEED);
+    let records = campaign.manifest().points;
+    assert_eq!(records.len(), PINNED_TREE.len());
+    for (rec, &(row, snr, label, seed, fault_seed)) in records.iter().zip(&PINNED_TREE) {
+        assert_eq!(rec.label, label);
+        assert_eq!(rec.snr_db, snr, "{label}");
+        let key = point_key(&point_fingerprint(
+            &cfg,
+            &storages[row],
+            snr,
+            seed,
+            fault_seed,
+        ));
+        assert_eq!(rec.key, key, "{label}: seed or die seed moved");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 mod properties {
     use super::*;
     use hspa_phy::harq::HarqStats;
