@@ -38,10 +38,12 @@ use std::time::Instant;
 use hspa_phy::harq::HarqStats;
 use resilience_core::campaign::controller::WILSON_Z;
 use resilience_core::campaign::store::{self, ChunkId};
-use resilience_core::campaign::{Campaign, CampaignSettings, ManifestTotals, ResultStore};
+use resilience_core::campaign::{
+    grid_points, Campaign, CampaignSettings, ManifestTotals, ResultStore,
+};
 use resilience_core::config::SystemConfig;
 use resilience_core::engine::SimulationEngine;
-use resilience_core::experiments::{fig6, snr_grid};
+use resilience_core::experiments::{fig6, snr_grid, Runner};
 use resilience_core::montecarlo::{build_buffer, StorageConfig};
 use resilience_core::simulator::{LinkSimulator, PacketScratch};
 
@@ -124,12 +126,14 @@ fn measure_engine(threads: usize, batch: usize, packets_per_point: usize) -> Eng
         StorageConfig::msb_protected(4, 0.10, cfg.llr_bits),
     ];
     let snrs = [9.0, 13.0, 18.0];
+    let threads = engine.threads();
     let t = Instant::now();
-    let grid = engine.run_grid(&sim, &storages, &snrs, packets_per_point, 0xbe_c41);
+    let grid =
+        Runner::OneShot(engine).run_grid(&sim, &storages, &snrs, packets_per_point, 0xbe_c41);
     let seconds = t.elapsed().as_secs_f64();
     let packets: u64 = grid.stats.iter().flatten().map(|s| s.packets).sum();
     EngineSample {
-        threads: engine.threads(),
+        threads,
         packets: packets as usize,
         seconds,
     }
@@ -152,7 +156,10 @@ fn measure_campaign(max_packets: usize) -> (ManifestTotals, f64) {
     )
     .with_store_dir(&dir);
     let t = Instant::now();
-    let _ = campaign.run_grid(&sim, &storages, &snr_grid(), max_packets, 0xbe_c41);
+    let _ = campaign.run(
+        &sim,
+        &grid_points(&storages, &snr_grid(), max_packets, 0xbe_c41),
+    );
     let seconds = t.elapsed().as_secs_f64();
     let totals = campaign.manifest().totals();
     let _ = std::fs::remove_dir_all(&dir);
@@ -181,7 +188,10 @@ fn measure_target_ci(width: f64) -> (ManifestTotals, usize, f64) {
     )
     .with_store_dir(&dir);
     let t = Instant::now();
-    let _ = campaign.run_grid(&sim, &storages, &snr_grid(), n_worst_case, 0xbe_c41);
+    let _ = campaign.run(
+        &sim,
+        &grid_points(&storages, &snr_grid(), n_worst_case, 0xbe_c41),
+    );
     let seconds = t.elapsed().as_secs_f64();
     let totals = campaign.manifest().totals();
     let _ = std::fs::remove_dir_all(&dir);

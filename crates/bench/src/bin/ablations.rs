@@ -16,6 +16,7 @@ use dsp::LlrFormat;
 use hspa_phy::channel::{ChannelModel, MultipathChannel};
 use hspa_phy::equalizer::{MmseEqualizer, RakeReceiver};
 use hspa_phy::harq::HarqCombining;
+use resilience_core::campaign::CampaignPoint;
 use resilience_core::config::SystemConfig;
 use resilience_core::montecarlo::{DefectSpec, StorageConfig};
 use resilience_core::report::render_table;
@@ -29,7 +30,11 @@ fn main() {
     // Ablations compare design arms at equal sample counts; adaptive
     // stopping would vary the per-arm CI width, so stay one-shot.
     budget.campaign = None;
-    let engine = budget.engine();
+    let runner = budget.runner("ablations");
+    let run_point = |sim: &LinkSimulator, storage: StorageConfig, snr_db: f64| {
+        let point = CampaignPoint::new(storage, snr_db, budget.packets_per_point, budget.seed);
+        runner.run(sim, &[point]).remove(0)
+    };
     let snr = 12.0;
     let frac = 0.05;
     println!(
@@ -46,13 +51,7 @@ fn main() {
         let mut cfg = SystemConfig::paper_64qam();
         cfg.llr_format = fmt;
         let sim = LinkSimulator::new(cfg);
-        let stats = engine.run_point(
-            &sim,
-            &StorageConfig::unprotected(frac, cfg.llr_bits),
-            snr,
-            budget.packets_per_point,
-            budget.seed,
-        );
+        let stats = run_point(&sim, StorageConfig::unprotected(frac, cfg.llr_bits), snr);
         rows.push(vec![
             name.to_string(),
             format!("{:.4}", stats.normalized_throughput()),
@@ -77,13 +76,7 @@ fn main() {
         let mut cfg = SystemConfig::paper_64qam();
         cfg.decoder_iterations = iters;
         let sim = LinkSimulator::new(cfg);
-        let stats = engine.run_point(
-            &sim,
-            &StorageConfig::unprotected(frac, cfg.llr_bits),
-            snr,
-            budget.packets_per_point,
-            budget.seed,
-        );
+        let stats = run_point(&sim, StorageConfig::unprotected(frac, cfg.llr_bits), snr);
         rows.push(vec![
             format!("{iters} iterations"),
             format!("{:.4}", stats.normalized_throughput()),
@@ -112,7 +105,7 @@ fn main() {
             defects: DefectSpec::Fraction(frac),
             fault_kind: kind,
         };
-        let stats = engine.run_point(&sim, &storage, snr, budget.packets_per_point, budget.seed);
+        let stats = run_point(&sim, storage, snr);
         rows.push(vec![
             name.to_string(),
             format!("{:.4}", stats.normalized_throughput()),
@@ -139,13 +132,7 @@ fn main() {
         let mut cfg = SystemConfig::paper_64qam();
         cfg.combining = comb;
         let sim = LinkSimulator::new(cfg);
-        let stats = engine.run_point(
-            &sim,
-            &StorageConfig::Quantized,
-            6.0,
-            budget.packets_per_point,
-            budget.seed,
-        );
+        let stats = run_point(&sim, StorageConfig::Quantized, 6.0);
         rows.push(vec![
             name.to_string(),
             format!("{:.4}", stats.normalized_throughput()),

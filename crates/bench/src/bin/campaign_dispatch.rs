@@ -1,11 +1,12 @@
 //! Dispatches a sharded campaign: launches the `--shard i/n` legs of a
 //! figure binary, monitors their liveness, steals work from dead or
-//! stalled legs, then merges and verifies the artifacts — ending with a
-//! store/manifest pair byte-identical to a single-host run.
+//! stalled legs by relaunching them over their surviving stores, then
+//! merges and verifies the artifacts — ending with a store/manifest pair
+//! byte-identical to a single-host run.
 //!
 //! ```text
 //! campaign-dispatch --name fig6 --bin target/release/fig6a --legs 2 \
-//!     [--steal|--no-steal] [--work-dir D] [--stall-timeout SECS] \
+//!     [--work-dir D] [--stall-timeout SECS] \
 //!     [--launcher TEMPLATE] [--hosts a,b,c] [--pull TEMPLATE] \
 //!     [--backoff BASE_MS:FACTOR:MAX_MS] [--chaos-seed N] \
 //!     [--manifest-json PATH] [--telemetry] [--store-backend KIND] \
@@ -42,7 +43,7 @@
 //! Legs run with their working directory at `--work-dir` (default `.`),
 //! so their artifacts land under `<work-dir>/target/campaign/` — the
 //! same place a hand-run `--shard i/n` leg writes, which is what lets a
-//! re-dispatch with `--steal` resume a previously killed run's store.
+//! re-dispatch resume a previously killed run's store.
 //!
 //! Exit codes: 0 ok, 1 dispatch/merge/verify failure, 2 usage error,
 //! 3 partial success (shards abandoned; merged manifest verified but
@@ -62,7 +63,7 @@ fn main() {
         eprintln!("campaign-dispatch: {e}");
         eprintln!(
             "usage: campaign-dispatch --name <campaign> --bin <figure binary> \
-             [--legs N] [--steal|--no-steal] [--work-dir D] \
+             [--legs N] [--work-dir D] \
              [--stall-timeout SECS] [--launcher TEMPLATE] [--hosts a,b,c] \
              [--pull TEMPLATE] [--backoff BASE_MS:FACTOR:MAX_MS] \
              [--chaos-seed N] [--manifest-json PATH] \
@@ -121,7 +122,6 @@ fn main() {
         }
     };
     let mut cfg = DispatchConfig {
-        steal: parsed.steal,
         stall_timeout: match parsed.stall_timeout_secs {
             0 => None,
             secs => Some(Duration::from_secs(secs)),
@@ -134,15 +134,10 @@ fn main() {
     }
 
     println!(
-        "=== dispatching campaign '{}': {} legs of {} ({}){}",
+        "=== dispatching campaign '{}': {} legs of {}{}",
         parsed.name,
         parsed.legs,
         parsed.bin,
-        if parsed.steal {
-            "work stealing on"
-        } else {
-            "no stealing"
-        },
         if parsed.leg_args.is_empty() {
             String::new()
         } else {

@@ -246,7 +246,7 @@ pub fn finish(args: &[String], budget: &ExperimentBudget, names: &[&str]) {
 ///
 /// ```text
 /// campaign-dispatch --name fig6 --bin target/release/fig6a --legs 2 \
-///     [--steal|--no-steal] [--work-dir D] [--stall-timeout SECS] \
+///     [--work-dir D] [--stall-timeout SECS] \
 ///     [--launcher TEMPLATE] [--hosts a,b,c] [--pull TEMPLATE] \
 ///     [--backoff BASE_MS:FACTOR:MAX_MS] [--chaos-seed N] \
 ///     [--manifest-json PATH] [--telemetry] [--store-backend KIND] \
@@ -264,8 +264,6 @@ pub struct DispatchArgs {
     pub bin: String,
     /// Shard count (`--legs`, default 2).
     pub legs: u32,
-    /// Steal work from dead/stalled legs (default on).
-    pub steal: bool,
     /// Working directory of the legs; their artifacts land under
     /// `<work-dir>/target/campaign/` (default `.`).
     pub work_dir: String,
@@ -313,7 +311,6 @@ pub fn dispatch_from_args(args: &[String]) -> Result<DispatchArgs, String> {
         name: String::new(),
         bin: String::new(),
         legs: 2,
-        steal: true,
         work_dir: ".".into(),
         stall_timeout_secs: 600,
         manifest_json: None,
@@ -347,8 +344,6 @@ pub fn dispatch_from_args(args: &[String]) -> Result<DispatchArgs, String> {
                     .filter(|&n| (1..=MAX_LEGS).contains(&n))
                     .ok_or_else(|| format!("--legs needs an integer in 1..={MAX_LEGS}"))?
             }
-            "--steal" => parsed.steal = true,
-            "--no-steal" => parsed.steal = false,
             "--work-dir" => parsed.work_dir = value("--work-dir")?,
             "--stall-timeout" => {
                 parsed.stall_timeout_secs = value("--stall-timeout")?
@@ -637,7 +632,6 @@ mod tests {
             "target/release/fig6a",
             "--legs",
             "3",
-            "--no-steal",
             "--stall-timeout",
             "30",
             "--manifest-json",
@@ -650,15 +644,14 @@ mod tests {
         .expect("full flag set parses");
         assert_eq!(d.name, "fig6");
         assert_eq!(d.legs, 3);
-        assert!(!d.steal);
         assert_eq!(d.stall_timeout_secs, 30);
         assert_eq!(d.manifest_json.as_deref(), Some("out.json"));
         assert!(d.quiet);
         assert_eq!(d.leg_args, args(&["--precision", "0.2"]));
 
-        // Defaults: 2 legs, steal on, cwd work dir.
+        // Defaults: 2 legs, cwd work dir.
         let d = dispatch_from_args(&args(&["--name", "c", "--bin", "b"])).unwrap();
-        assert_eq!((d.legs, d.steal, d.work_dir.as_str()), (2, true, "."));
+        assert_eq!((d.legs, d.work_dir.as_str()), (2, "."));
 
         // The dispatcher is strict where the figure binaries are
         // lenient: missing requireds, unknown flags and malformed
@@ -670,6 +663,9 @@ mod tests {
             &["--name", "c", "--bin", "b", "--legs", "x"],
             &["--name", "c", "--bin", "b", "--legs", "2000000"],
             &["--name", "c", "--bin", "b", "--what"],
+            // Rescue is the only recovery path: the old toggles are gone.
+            &["--name", "c", "--bin", "b", "--steal"],
+            &["--name", "c", "--bin", "b", "--no-steal"],
             &["--name"],
         ] {
             assert!(dispatch_from_args(&args(bad)).is_err(), "{bad:?}");

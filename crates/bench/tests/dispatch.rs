@@ -4,7 +4,7 @@
 //!
 //! * a 2-leg dispatched fig6a campaign merges to a manifest
 //!   **byte-identical** to a single-host run at the same settings;
-//! * killing a leg mid-run and re-dispatching with `--steal` recovers
+//! * killing a leg mid-run and re-dispatching recovers
 //!   to the same byte-identical manifest, resuming (never re-simulating)
 //!   every chunk the killed leg had already stored;
 //! * the remote-capable `--launcher` template (run through `sh -c` here,
@@ -74,7 +74,6 @@ fn dispatch_two_legs_with(work_dir: &Path, extra: &[&str]) -> (PathBuf, String) 
             fig6a_bin(),
             "--legs",
             "2",
-            "--steal",
             "--quiet",
         ])
         .args(extra)
@@ -238,7 +237,7 @@ fn killed_leg_recovers_via_steal_without_resimulating() {
         "kill landed before any chunk was stored — nothing to steal"
     );
 
-    // Re-dispatch with stealing: the rescue leg must resume the killed
+    // Re-dispatch: the rescue leg must resume the killed
     // leg's store, and the merge must still be byte-identical to a
     // fresh single-host run.
     let merged = dispatch_two_legs(&work_dir);

@@ -29,9 +29,9 @@
 //!    stall-kill: a leg that was merely deep inside a long chunk gets
 //!    room to finish on its rescue instead of looping to the attempt
 //!    cap.
-//! 3. **Steal.** When a leg dies (killed, crashed, or stall-killed)
-//!    while steal is enabled, the dispatcher immediately relaunches its
-//!    shard spec in the freed slot as a *rescue leg*. The rescue leg
+//! 3. **Steal.** When a leg dies (killed, crashed, or stall-killed),
+//!    the dispatcher immediately relaunches its shard spec in the freed
+//!    slot as a *rescue leg*. The rescue leg
 //!    resumes the straggler's result store (`--resume` is the campaign
 //!    default), so every chunk the straggler already simulated is
 //!    served from disk — work is stolen, never redone — and the
@@ -544,10 +544,6 @@ pub struct DispatchConfig {
     /// lands in (for [`LocalLauncher`], its
     /// [`store_dir`](LocalLauncher::store_dir)).
     pub dir: PathBuf,
-    /// Steal work from dead or stalled legs by relaunching their shard
-    /// spec over the surviving store. With stealing off, any leg
-    /// failure aborts the dispatch.
-    pub steal: bool,
     /// Launch attempts per shard (first launch + rescues). The cap
     /// keeps a deterministically-crashing leg from looping forever; a
     /// shard that exhausts it is abandoned and the survivors merge
@@ -581,14 +577,13 @@ pub struct DispatchConfig {
 }
 
 impl DispatchConfig {
-    /// A config with the production defaults: steal on, 3 attempts per
-    /// shard, 10-minute stall timeout, 50 ms polls.
+    /// A config with the production defaults: 3 attempts per shard,
+    /// 10-minute stall timeout, 50 ms polls.
     pub fn new(name: impl Into<String>, legs: u32, dir: impl Into<PathBuf>) -> Self {
         Self {
             name: name.into(),
             legs,
             dir: dir.into(),
-            steal: true,
             max_attempts: 3,
             backoff: BackoffPolicy::default(),
             stall_timeout: Some(Duration::from_secs(600)),
@@ -856,34 +851,20 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
     }
 
     /// Routes a failed shard (dead leg or failed launch) to its next
-    /// life: abort with stealing off, abandonment past the attempt
-    /// cap, or a backoff-delayed rescue relaunch. Only the no-steal
-    /// abort returns `Err`.
+    /// life: abandonment past the attempt cap, or else a
+    /// backoff-delayed rescue relaunch.
     #[allow(clippy::too_many_arguments)]
     fn handle_failure(
         cfg: &DispatchConfig,
         spec: ShardSpec,
         why: &str,
-        attempts: &mut BTreeMap<ShardSpec, u32>,
+        attempts: &BTreeMap<ShardSpec, u32>,
         pending: &mut Vec<PendingLaunch>,
-        running: &mut Vec<RunningLeg>,
         report_rescued: &mut Vec<ShardSpec>,
         abandoned: &mut Vec<ShardSpec>,
         events: Option<&EventLog>,
-    ) -> io::Result<()> {
+    ) {
         let tried = attempts.get(&spec).copied().unwrap_or(0);
-        if !cfg.steal {
-            // The dispatch is doomed at this instant: abort instead of
-            // letting the sibling legs burn compute toward a merge
-            // that will never happen. Their partial stores survive for
-            // a later `--steal` re-dispatch to resume.
-            kill_all(running);
-            return Err(io::Error::other(format!(
-                "campaign '{}' dispatch failed: {why} \
-                 (stealing disabled — re-dispatch with --steal to recover)",
-                cfg.name
-            )));
-        }
         if tried >= cfg.max_attempts {
             // Attempt cap: give this shard up instead of sinking the
             // dispatch — the survivors still merge into a
@@ -901,7 +882,7 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                     ],
                 );
             }
-            return Ok(());
+            return;
         }
         // Steal: queue a relaunch over the surviving store — resumed
         // chunks are served from disk, never re-simulated.
@@ -925,7 +906,6 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
             spec,
             not_before: Instant::now() + delay,
         });
-        Ok(())
     }
 
     let mut report_rescued: Vec<ShardSpec> = Vec::new();
@@ -950,8 +930,8 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
     // Launch + monitor loop: fire pending launches whose backoff has
     // elapsed, then poll every leg; a dead leg is either complete
     // (clean exit + usable manifest) or failed. Failed legs and failed
-    // launches route through `handle_failure` — rescue or abandon —
-    // while attempts remain and stealing is on.
+    // launches route through `handle_failure` — rescue while attempts
+    // remain, abandon after.
     while !running.is_empty() || !pending.is_empty() {
         let now = Instant::now();
         let mut due: Vec<ShardSpec> = Vec::new();
@@ -988,13 +968,12 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                     cfg,
                     spec,
                     &format!("leg {spec} failed to launch: {e}"),
-                    &mut attempts,
+                    &attempts,
                     &mut pending,
-                    &mut running,
                     &mut report_rescued,
                     &mut abandoned,
                     events.as_ref(),
-                )?;
+                );
             }
         }
         let mut idx = 0;
@@ -1084,13 +1063,12 @@ pub fn dispatch(cfg: &DispatchConfig, launcher: &dyn Launcher) -> io::Result<Dis
                 cfg,
                 spec,
                 &why,
-                &mut attempts,
+                &attempts,
                 &mut pending,
-                &mut running,
                 &mut report_rescued,
                 &mut abandoned,
                 events.as_ref(),
-            )?;
+            );
         }
         if !running.is_empty() || !pending.is_empty() {
             std::thread::sleep(cfg.poll_interval);
@@ -1406,38 +1384,6 @@ mod tests {
         assert_eq!(report.merge.points, 2);
         assert!(report.verify.ok());
         assert!(cfg.dir.join("mock.manifest.json").exists());
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn failed_leg_without_steal_aborts() {
-        let cfg = DispatchConfig {
-            steal: false,
-            ..tiny_config("nosteal", 2)
-        };
-        let launcher = MockLauncher::new(&cfg.dir, &[("1/2", &[Behavior::Fail])]);
-        let err = dispatch(&cfg, &launcher).unwrap_err();
-        assert!(err.to_string().contains("--steal"), "{err}");
-        let _ = fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn unrecoverable_shard_aborts_siblings_immediately() {
-        // Leg 0 would run forever; leg 1 fails with stealing off. The
-        // dispatch is doomed at that instant and must return (killing
-        // leg 0) instead of waiting on a merge that can never happen —
-        // if this regresses, the test hangs rather than fails.
-        let cfg = DispatchConfig {
-            steal: false,
-            stall_timeout: None,
-            ..tiny_config("abort", 2)
-        };
-        let launcher = MockLauncher::new(
-            &cfg.dir,
-            &[("0/2", &[Behavior::Hang]), ("1/2", &[Behavior::Fail])],
-        );
-        let err = dispatch(&cfg, &launcher).unwrap_err();
-        assert!(err.to_string().contains("leg 1/2"), "{err}");
         let _ = fs::remove_dir_all(&cfg.dir);
     }
 

@@ -38,10 +38,18 @@
 //! Chunking never changes results: packet `p` of a point draws the same
 //! RNG stream regardless of which chunk (or thread, or process) simulates
 //! it, so an adaptive campaign that realizes `n` packets produces
-//! [`HarqStats`] bit-identical to a one-shot
-//! [`SimulationEngine::run_point`] over `n` packets — for any thread
-//! count, with or without store hits. Stopping decisions depend only on
-//! merged statistics, hence are equally reproducible.
+//! [`HarqStats`] bit-identical to the one-shot chunk `0..n` — for any
+//! thread count, with or without store hits. Stopping decisions depend
+//! only on merged statistics, hence are equally reproducible.
+//!
+//! # Points
+//!
+//! A campaign runs a list of [`CampaignPoint`]s (or
+//! [`CustomCampaignPoint`]s for caller-built buffers). [`grid_points`]
+//! and [`sweep_points`] are the one place the worst-case seed tree of a
+//! (storage × SNR) grid or an SNR sweep is derived from a master seed;
+//! the one-shot and adaptive paths of [`crate::experiments::Runner`]
+//! both run the points they build.
 //!
 //! # Example
 //!
@@ -57,14 +65,7 @@
 //! let campaign = Campaign::new("demo", CampaignSettings::default(), SimulationEngine::auto());
 //! let report = campaign.run(
 //!     &sim,
-//!     &[CampaignPoint {
-//!         label: "clean @ 18 dB".into(),
-//!         storage: StorageConfig::Quantized,
-//!         snr_db: 18.0,
-//!         max_packets: 240,
-//!         seed: 42,
-//!         fault_seed: None,
-//!     }],
+//!     &[CampaignPoint::new(StorageConfig::Quantized, 18.0, 240, 42)],
 //! );
 //! println!("{}", report.table());
 //! ```
@@ -82,7 +83,7 @@ use std::time::Instant;
 
 use hspa_phy::harq::{HarqStats, LlrBuffer};
 
-use crate::engine::{ChunkSpec, CustomChunk, GridResult, SimulationEngine};
+use crate::engine::{ChunkSpec, CustomChunk, SimulationEngine};
 use crate::montecarlo::StorageConfig;
 use crate::report::render_table;
 use crate::simulator::LinkSimulator;
@@ -143,6 +144,88 @@ pub struct CustomCampaignPoint {
     pub max_packets: usize,
     /// Seed of this point's stream subtree.
     pub seed: u64,
+}
+
+impl CampaignPoint {
+    /// A point with its own die (`fault_seed: None`) and the default
+    /// `"{storage} @ {snr} dB"` label.
+    pub fn new(storage: StorageConfig, snr_db: f64, max_packets: usize, seed: u64) -> Self {
+        Self {
+            label: format!("{} @ {snr_db} dB", storage.label()),
+            storage,
+            snr_db,
+            max_packets,
+            seed,
+            fault_seed: None,
+        }
+    }
+}
+
+impl CustomCampaignPoint {
+    /// A custom point labelled `"{fingerprint} @ {snr} dB"`.
+    pub fn new(fingerprint: String, snr_db: f64, max_packets: usize, seed: u64) -> Self {
+        Self {
+            label: format!("{fingerprint} @ {snr_db} dB"),
+            fingerprint,
+            snr_db,
+            max_packets,
+            seed,
+        }
+    }
+}
+
+/// The points of a (storage × SNR) grid, row-major — the paper's
+/// worst-case seed tree. Row `r` takes its subtree from
+/// `derive_seed(master_seed, r)`; column `c` draws its packet streams
+/// from the row's stream `c` offset by 0x100 (clear of the die stream
+/// `STREAM_FAULT_MAP = 0xfa`), and every SNR of the row shares
+/// **one die** (`derive_seed(row, STREAM_FAULT_MAP)`), so a row is one
+/// physical device swept over operating SNRs.
+pub fn grid_points(
+    storages: &[StorageConfig],
+    snrs_db: &[f64],
+    max_packets: usize,
+    master_seed: u64,
+) -> Vec<CampaignPoint> {
+    let mut points = Vec::with_capacity(storages.len() * snrs_db.len());
+    for (r, storage) in storages.iter().enumerate() {
+        let row_seed = derive_seed(master_seed, r as u64);
+        let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
+        for (c, &snr_db) in snrs_db.iter().enumerate() {
+            points.push(CampaignPoint {
+                fault_seed: Some(die_seed),
+                ..CampaignPoint::new(
+                    storage.clone(),
+                    snr_db,
+                    max_packets,
+                    derive_seed(row_seed, 0x100 + c as u64),
+                )
+            });
+        }
+    }
+    points
+}
+
+/// The points of one storage configuration swept over SNRs: point `i`
+/// takes its subtree, and its own die, from `derive_seed(seed, i)`.
+pub fn sweep_points(
+    storage: &StorageConfig,
+    snrs_db: &[f64],
+    max_packets: usize,
+    seed: u64,
+) -> Vec<CampaignPoint> {
+    snrs_db
+        .iter()
+        .enumerate()
+        .map(|(i, &snr_db)| {
+            CampaignPoint::new(
+                storage.clone(),
+                snr_db,
+                max_packets,
+                derive_seed(seed, i as u64),
+            )
+        })
+        .collect()
 }
 
 /// Final state of one campaign point.
@@ -458,8 +541,8 @@ impl Campaign {
 
     /// Runs custom-buffer points adaptively. The factory receives the
     /// index of the point **in `points`** plus the point's fault-stream
-    /// seed, exactly like
-    /// [`SimulationEngine::run_batch_with_buffers`].
+    /// seed (`derive_seed(seed, STREAM_FAULT_MAP)`), whichever chunk of
+    /// the point is being built.
     pub fn run_with_buffers<F>(
         &self,
         sim: &LinkSimulator,
@@ -501,70 +584,6 @@ impl Campaign {
                     make_buffer(owners[chunk_idx], fault_seed)
                 })
         })
-    }
-
-    /// Campaign equivalent of [`SimulationEngine::run_grid`]: identical
-    /// seed-tree semantics (row `r` draws its subtree from
-    /// `derive_seed(master_seed, r)` and shares **one die** across its
-    /// SNR sweep), with per-point adaptive budgets and store resume.
-    pub fn run_grid(
-        &self,
-        sim: &LinkSimulator,
-        storages: &[StorageConfig],
-        snrs_db: &[f64],
-        max_packets: usize,
-        master_seed: u64,
-    ) -> GridResult {
-        let mut points = Vec::with_capacity(storages.len() * snrs_db.len());
-        for (r, storage) in storages.iter().enumerate() {
-            let row_seed = derive_seed(master_seed, r as u64);
-            let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
-            for (c, &snr_db) in snrs_db.iter().enumerate() {
-                points.push(CampaignPoint {
-                    label: format!("{} @ {snr_db} dB", storage.label()),
-                    storage: storage.clone(),
-                    snr_db,
-                    max_packets,
-                    seed: derive_seed(row_seed, 0x100 + c as u64),
-                    fault_seed: Some(die_seed),
-                });
-            }
-        }
-        let flat = self.run(sim, &points).stats();
-        let mut rows = Vec::with_capacity(storages.len());
-        let mut it = flat.into_iter();
-        for _ in 0..storages.len() {
-            rows.push(it.by_ref().take(snrs_db.len()).collect());
-        }
-        GridResult {
-            snr_db: snrs_db.to_vec(),
-            stats: rows,
-        }
-    }
-
-    /// Campaign equivalent of [`SimulationEngine::run_sweep`]: point `i`
-    /// draws its own die from `derive_seed(seed, i)`.
-    pub fn run_sweep(
-        &self,
-        sim: &LinkSimulator,
-        storage: &StorageConfig,
-        snrs_db: &[f64],
-        max_packets: usize,
-        seed: u64,
-    ) -> Vec<HarqStats> {
-        let points: Vec<CampaignPoint> = snrs_db
-            .iter()
-            .enumerate()
-            .map(|(i, &snr_db)| CampaignPoint {
-                label: format!("{} @ {snr_db} dB", storage.label()),
-                storage: storage.clone(),
-                snr_db,
-                max_packets,
-                seed: derive_seed(seed, i as u64),
-                fault_seed: None,
-            })
-            .collect();
-        self.run(sim, &points).stats()
     }
 
     /// The cumulative manifest over this instance's run calls.

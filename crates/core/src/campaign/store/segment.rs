@@ -238,8 +238,11 @@ impl SegmentBackend {
     }
 
     /// Scans every frame of the segment file. `strict` errors on the
-    /// first corrupt frame; lenient counts it and, when the frame
-    /// boundary is still trustworthy, keeps scanning.
+    /// first corrupt frame and stops at a torn one. Lenient counts
+    /// damage and resyncs: a damaged length field cannot be trusted to
+    /// frame the damage, so past a corrupt frame — or a "torn" one with
+    /// bytes after it — the scan resumes at the next checksum-valid,
+    /// valid record. Only a tail with no such frame after it is torn.
     fn scan(&self, strict: bool) -> std::io::Result<LenientLoad> {
         let bytes = fs::read(&self.path)?;
         if bytes.len() < SEG_HEADER as usize || &bytes[..8] != SEG_MAGIC {
@@ -258,6 +261,8 @@ impl SegmentBackend {
         while pos < bytes.len() {
             match read_frame(&bytes[pos..]) {
                 FrameRead::Ok(id, stats, consumed) => {
+                    // A checksum-valid frame's length is trustworthy
+                    // even when its record breaks an invariant.
                     match validate_record(id, &stats) {
                         Ok(()) => load.records.push((id, stats)),
                         Err(why) if strict => {
@@ -267,26 +272,39 @@ impl SegmentBackend {
                     }
                     pos += consumed;
                 }
-                FrameRead::Torn => {
+                FrameRead::Torn if strict => {
                     load.torn_lines += 1;
                     break;
                 }
-                FrameRead::Corrupt(why) => {
-                    if strict {
-                        return Err(corrupt_error(&self.path, pos, &why));
-                    }
-                    load.corrupt_records += 1;
-                    // The length field still frames the damage, so the
-                    // scan can step over it to the next boundary.
-                    let payload_len =
-                        // lint: allow(no-unwrap, infallible: a 4-byte slice always converts to [u8; 4])
-                        u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-                    pos += FRAME_HEADER + payload_len;
+                FrameRead::Corrupt(why) if strict => {
+                    return Err(corrupt_error(&self.path, pos, &why));
                 }
+                damaged => match next_valid_frame(&bytes, pos + 1) {
+                    Some(next) => {
+                        load.corrupt_records += 1;
+                        pos = next;
+                    }
+                    None => {
+                        match damaged {
+                            FrameRead::Torn => load.torn_lines += 1,
+                            _ => load.corrupt_records += 1,
+                        }
+                        break;
+                    }
+                },
             }
         }
         Ok(load)
     }
+}
+
+/// Offset of the first frame at or after `from` that is checksum-valid
+/// and holds a valid record — where a lenient scan resyncs after damage.
+fn next_valid_frame(bytes: &[u8], from: usize) -> Option<usize> {
+    (from..bytes.len()).find(|&pos| {
+        matches!(read_frame(&bytes[pos..]),
+            FrameRead::Ok(id, stats, _) if validate_record(id, &stats).is_ok())
+    })
 }
 
 impl StoreBackend for SegmentBackend {

@@ -7,36 +7,49 @@
 //! while keeping results **bit-identical for any thread count**,
 //! including the serial path used by [`crate::montecarlo::run_point`].
 //!
+//! The engine has two entry points and one unit of work, the chunk: a
+//! packet range `first..first + n` of one operating point.
+//! [`SimulationEngine::run_chunks`] runs [`ChunkSpec`]s over the
+//! standard storage backends and
+//! [`SimulationEngine::run_chunks_with_buffers`] runs [`CustomChunk`]s
+//! over a caller's buffer factory. A one-shot point is the chunk `0..n`;
+//! an adaptive campaign ([`crate::campaign`]) feeds the same call its
+//! growing chunks; [`crate::experiments::Runner`] chooses between the
+//! two.
+//!
 //! # Determinism model
 //!
-//! Randomness is organized as a seed tree rooted at a caller-supplied
-//! master seed (see [`dsp::rng::derive_seed_path`]):
+//! Randomness is organized as a seed tree (see
+//! [`dsp::rng::derive_seed_path`]). Grids and sweeps derive their point
+//! seeds from a master seed ([`crate::campaign::grid_points`],
+//! [`crate::campaign::sweep_points`]); below a point, the engine derives:
 //!
 //! ```text
-//! master ─┬─ point 0 ─┬─ 0xfa        → fault map ("one die per run")
-//!         │           └─ 1 ─┬─ pkt 0 → noise/data stream of packet 0
-//!         │                 ├─ pkt 1 → noise/data stream of packet 1
-//!         │                 └─ ...
-//!         └─ point 1 ─ ...
+//! point ─┬─ 0xfa        → fault map ("one die per run"; a chunk's
+//!        │                explicit `fault_seed` overrides it)
+//!        └─ 1 ─┬─ pkt 0 → noise/data stream of packet 0
+//!              ├─ pkt 1 → noise/data stream of packet 1
+//!              └─ ...
 //! ```
 //!
 //! A packet's stream depends only on its position in the tree — never on
-//! the thread that simulates it — and [`HarqStats`] aggregation is a sum
-//! of counters, so any shard-to-worker assignment yields the same
-//! statistics. Buffers with internal randomness are re-anchored per
-//! packet through [`LlrBuffer::begin_packet`].
+//! the thread that simulates it or the chunk that contains it — and
+//! [`HarqStats`] aggregation is a sum of counters, so any shard-to-worker
+//! assignment yields the same statistics. Buffers with internal
+//! randomness are re-anchored per packet through
+//! [`LlrBuffer::begin_packet`].
 //!
 //! # Work decomposition
 //!
-//! [`SimulationEngine::run_batch`] flattens all operating points into
-//! shards of [`SimulationEngine::shard_packets`] packets and lets workers
-//! pull shards from a shared atomic counter (work stealing), so a single
-//! expensive point — low SNR, many retransmissions — cannot serialize the
-//! run. Each worker keeps one storage buffer set per point (rebuilt
-//! deterministically from the point's fault seed: the *same die*, per the
-//! paper's worst-case methodology) plus one [`PacketScratch`] per wave
-//! lane, and merges its partial statistics locally; the main thread
-//! folds worker partials in task order.
+//! A run flattens all chunks into shards of
+//! [`SimulationEngine::shard_packets`] packets and lets workers pull
+//! shards from a shared atomic counter, so a single expensive point —
+//! low SNR, many retransmissions — cannot serialize the run. Each worker
+//! keeps one storage buffer set per buffer group (rebuilt
+//! deterministically from the die seed: the *same die*, per the paper's
+//! worst-case methodology) plus one [`PacketScratch`] per wave lane, and
+//! merges its partial statistics locally; the main thread folds worker
+//! partials in task order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,51 +67,14 @@ use crate::montecarlo::{build_buffer, StorageConfig};
 use crate::simulator::{LinkSimulator, PacketOutcome, PacketScratch, WaveScratch};
 use crate::telemetry::{self, Counter, Histogram};
 
-/// One Monte-Carlo operating point for [`SimulationEngine::run_batch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointSpec {
-    /// LLR-storage backend under test.
-    pub storage: StorageConfig,
-    /// Operating SNR (dB).
-    pub snr_db: f64,
-    /// Packets to simulate.
-    pub n_packets: usize,
-    /// Seed of this point's stream subtree.
-    pub seed: u64,
-}
-
-/// An operating point for [`SimulationEngine::run_batch_with_buffers`]:
-/// [`PointSpec`] minus the storage field. The caller's buffer factory
-/// *is* the storage, so a (silently ignored) `StorageConfig` cannot be
-/// supplied by mistake.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CustomPoint {
-    /// Operating SNR (dB).
-    pub snr_db: f64,
-    /// Packets to simulate.
-    pub n_packets: usize,
-    /// Seed of this point's stream subtree.
-    pub seed: u64,
-}
-
-impl From<&PointSpec> for CustomPoint {
-    fn from(spec: &PointSpec) -> Self {
-        Self {
-            snr_db: spec.snr_db,
-            n_packets: spec.n_packets,
-            seed: spec.seed,
-        }
-    }
-}
-
 /// A contiguous packet range of one operating point — the unit of work of
 /// resumable campaigns ([`crate::campaign`]).
 ///
 /// Packet `p` of a chunk draws the *same* RNG stream
 /// (`packet_seed(seed, p)`) it would draw in a one-shot run of the whole
 /// point, so any partition of `0..n` into chunks merges
-/// ([`HarqStats::merge`]) to statistics bit-identical to a single
-/// [`SimulationEngine::run_point`] over `n` packets.
+/// ([`HarqStats::merge`]) to statistics bit-identical to the single
+/// chunk `0..n`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkSpec {
     /// LLR-storage backend under test.
@@ -117,8 +93,10 @@ pub struct ChunkSpec {
     pub fault_seed: Option<u64>,
 }
 
-/// [`ChunkSpec`] minus the storage field, for chunked runs over caller
-/// buffer factories (mirrors [`CustomPoint`]).
+/// [`ChunkSpec`] minus the storage and die fields, for
+/// [`SimulationEngine::run_chunks_with_buffers`]: the caller's buffer
+/// factory *is* the storage, so a (silently ignored) `StorageConfig`
+/// cannot be supplied by mistake.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CustomChunk {
     /// Operating SNR (dB).
@@ -129,16 +107,6 @@ pub struct CustomChunk {
     pub n_packets: usize,
     /// Seed of this point's stream subtree (shared by all its chunks).
     pub seed: u64,
-}
-
-/// A full (storage × SNR) evaluation produced by
-/// [`SimulationEngine::run_grid`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridResult {
-    /// SNR grid (dB), shared by every row.
-    pub snr_db: Vec<f64>,
-    /// `stats[row][col]` = statistics of storage `row` at SNR `col`.
-    pub stats: Vec<Vec<HarqStats>>,
 }
 
 /// Sharded Monte-Carlo executor over a [`LinkSimulator`].
@@ -234,68 +202,15 @@ impl SimulationEngine {
         self.batch_lanes
     }
 
-    /// Evaluates one operating point.
-    pub fn run_point(
-        &self,
-        sim: &LinkSimulator,
-        storage: &StorageConfig,
-        snr_db: f64,
-        n_packets: usize,
-        seed: u64,
-    ) -> HarqStats {
-        self.run_batch(
-            sim,
-            &[PointSpec {
-                storage: storage.clone(),
-                snr_db,
-                n_packets,
-                seed,
-            }],
-        )
-        .pop()
-        .expect("one spec in, one stats out")
-    }
-
-    /// Evaluates a later slice of an operating point's packet stream:
-    /// packets `first_packet..first_packet + n_packets` of the stream
-    /// rooted at `seed`.
-    ///
-    /// This is the resumable entry behind [`crate::campaign`]: a point
-    /// simulated as any sequence of chunks (`run_point_resumed` calls
-    /// whose ranges partition `0..n`) merges to statistics bit-identical
-    /// to one [`SimulationEngine::run_point`] over `n` packets, because
-    /// packet seeds depend only on the absolute packet index.
-    pub fn run_point_resumed(
-        &self,
-        sim: &LinkSimulator,
-        storage: &StorageConfig,
-        snr_db: f64,
-        first_packet: usize,
-        n_packets: usize,
-        seed: u64,
-    ) -> HarqStats {
-        self.run_chunks(
-            sim,
-            &[ChunkSpec {
-                storage: storage.clone(),
-                snr_db,
-                first_packet,
-                n_packets,
-                seed,
-                fault_seed: None,
-            }],
-        )
-        .pop()
-        .expect("one chunk in, one stats out")
-    }
-
     /// Evaluates a batch of packet-range chunks (possibly of different
-    /// operating points) in one sharded run.
+    /// operating points) in one sharded run — the engine's entry point
+    /// for every storage backend in [`StorageConfig`]. A one-shot point
+    /// is the single chunk `0..n`.
     ///
     /// Chunks with the same storage and the same resolved die seed build
-    /// identical buffers, so they share a buffer group — a campaign grid
-    /// row (one die swept over SNRs) builds its fault map once per
-    /// worker, matching [`SimulationEngine::run_grid`]'s behavior.
+    /// identical buffers, so they share a buffer group — a grid row (one
+    /// die swept over SNRs) builds its fault map once per worker, not
+    /// once per cell.
     ///
     /// Chunk scheduling is composition-invariant: a chunk's statistics
     /// depend only on `(seed, fault seed, snr, first_packet..+n)`, never
@@ -307,15 +222,15 @@ impl SimulationEngine {
     /// random 1–4-way partitions).
     pub fn run_chunks(&self, sim: &LinkSimulator, chunks: &[ChunkSpec]) -> Vec<HarqStats> {
         let cfg = *sim.config();
-        let points: Vec<CustomPoint> = chunks
+        let specs: Vec<CustomChunk> = chunks
             .iter()
-            .map(|c| CustomPoint {
+            .map(|c| CustomChunk {
                 snr_db: c.snr_db,
+                first_packet: c.first_packet,
                 n_packets: c.n_packets,
                 seed: c.seed,
             })
             .collect();
-        let offsets: Vec<usize> = chunks.iter().map(|c| c.first_packet).collect();
         let fault_seeds: Vec<u64> = chunks
             .iter()
             .map(|c| {
@@ -330,19 +245,17 @@ impl SimulationEngine {
                 .unwrap_or(i);
             groups.push(group);
         }
-        self.run_specs(
-            sim,
-            &points,
-            Some(&offsets),
-            Some(&groups),
-            &move |point, _derived| build_buffer(&cfg, &chunks[point].storage, fault_seeds[point]),
-        )
+        self.run_specs(sim, &specs, &groups, &move |chunk, _derived| {
+            build_buffer(&cfg, &chunks[chunk].storage, fault_seeds[chunk])
+        })
     }
 
-    /// Chunked variant of [`SimulationEngine::run_batch_with_buffers`]:
-    /// packet ranges over caller-built buffers. The factory receives the
-    /// chunk index and the chunk's fault-stream seed and must be
-    /// deterministic in them.
+    /// [`SimulationEngine::run_chunks`] over caller-built buffers — the
+    /// escape hatch for backends outside [`StorageConfig`] (e.g.
+    /// transient soft-error wrappers). The factory receives the chunk
+    /// index and the chunk's fault-stream seed
+    /// (`derive_seed(seed, STREAM_FAULT_MAP)`) and must be deterministic
+    /// in them; each chunk builds its own buffers.
     pub fn run_chunks_with_buffers<F>(
         &self,
         sim: &LinkSimulator,
@@ -352,145 +265,31 @@ impl SimulationEngine {
     where
         F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
     {
-        let points: Vec<CustomPoint> = chunks
-            .iter()
-            .map(|c| CustomPoint {
-                snr_db: c.snr_db,
-                n_packets: c.n_packets,
-                seed: c.seed,
-            })
-            .collect();
-        let offsets: Vec<usize> = chunks.iter().map(|c| c.first_packet).collect();
-        self.run_specs(sim, &points, Some(&offsets), None, &make_buffer)
+        let groups: Vec<usize> = (0..chunks.len()).collect();
+        self.run_specs(sim, chunks, &groups, &make_buffer)
     }
 
-    /// Evaluates one storage configuration over an SNR sweep. Point `i`
-    /// draws its own die from `derive_seed(seed, i)`, matching the
-    /// historical serial sweep semantics.
-    pub fn run_sweep(
-        &self,
-        sim: &LinkSimulator,
-        storage: &StorageConfig,
-        snrs_db: &[f64],
-        n_packets: usize,
-        seed: u64,
-    ) -> Vec<HarqStats> {
-        let specs: Vec<PointSpec> = snrs_db
-            .iter()
-            .enumerate()
-            .map(|(i, &snr_db)| PointSpec {
-                storage: storage.clone(),
-                snr_db,
-                n_packets,
-                seed: derive_seed(seed, i as u64),
-            })
-            .collect();
-        self.run_batch(sim, &specs)
-    }
-
-    /// Evaluates a full (storage × SNR) matrix in one sharded run.
-    ///
-    /// Row `r` takes its subtree from `derive_seed(master_seed, r)`;
-    /// within a row every SNR point shares **one die** (one fault-map
-    /// draw), so a row is a physical device swept over operating SNRs —
-    /// the paper's worst-case single-map methodology. Buffers are also
-    /// cached per row (not per cell) inside each worker, so the shared
-    /// die is actually built once per (worker, row), not once per grid
-    /// cell.
-    pub fn run_grid(
-        &self,
-        sim: &LinkSimulator,
-        storages: &[StorageConfig],
-        snrs_db: &[f64],
-        n_packets: usize,
-        master_seed: u64,
-    ) -> GridResult {
-        let cfg = *sim.config();
-        let mut specs = Vec::with_capacity(storages.len() * snrs_db.len());
-        let mut fault_seeds = Vec::with_capacity(specs.capacity());
-        let mut groups = Vec::with_capacity(specs.capacity());
-        for (r, storage) in storages.iter().enumerate() {
-            let row_seed = derive_seed(master_seed, r as u64);
-            let die_seed = derive_seed(row_seed, STREAM_FAULT_MAP);
-            for (c, &snr_db) in snrs_db.iter().enumerate() {
-                specs.push(PointSpec {
-                    storage: storage.clone(),
-                    snr_db,
-                    n_packets,
-                    seed: derive_seed(row_seed, 0x100 + c as u64),
-                });
-                fault_seeds.push(die_seed);
-                groups.push(r);
-            }
-        }
-        let points: Vec<CustomPoint> = specs.iter().map(CustomPoint::from).collect();
-        let flat = self.run_specs(sim, &points, None, Some(&groups), &|point, _seed| {
-            build_buffer(&cfg, &specs[point].storage, fault_seeds[point])
-        });
-        let mut rows = Vec::with_capacity(storages.len());
-        let mut it = flat.into_iter();
-        for _ in 0..storages.len() {
-            rows.push(it.by_ref().take(snrs_db.len()).collect());
-        }
-        GridResult {
-            snr_db: snrs_db.to_vec(),
-            stats: rows,
-        }
-    }
-
-    /// Evaluates an arbitrary batch of operating points. Each point draws
-    /// its die from `derive_seed(point.seed, STREAM_FAULT_MAP)`.
-    pub fn run_batch(&self, sim: &LinkSimulator, specs: &[PointSpec]) -> Vec<HarqStats> {
-        let cfg = *sim.config();
-        let points: Vec<CustomPoint> = specs.iter().map(CustomPoint::from).collect();
-        self.run_specs(sim, &points, None, None, &move |point, fault_seed| {
-            build_buffer(&cfg, &specs[point].storage, fault_seed)
-        })
-    }
-
-    /// Evaluates points whose LLR buffers come from a caller factory —
-    /// the escape hatch for backends outside [`StorageConfig`] (e.g.
-    /// transient soft-error wrappers). The factory receives the point
-    /// index and the point's fault-stream seed, and must be
-    /// deterministic in them.
-    pub fn run_batch_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        points: &[CustomPoint],
-        make_buffer: F,
-    ) -> Vec<HarqStats>
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        self.run_specs(sim, points, None, None, &make_buffer)
-    }
-
-    /// `offsets`, when given, shifts each point's packet range to start
-    /// at an absolute packet index (`None`: every point starts at packet
-    /// 0) — the chunked-campaign path. `groups`, when given, assigns
-    /// each point a buffer-sharing group: points in one group must
-    /// deterministically build identical buffers (same storage, same die
-    /// seed), and each worker then builds that buffer once per group
-    /// instead of once per point. `None` means every point is its own
-    /// group.
+    /// `groups[i]` is chunk `i`'s buffer-sharing group: chunks in one
+    /// group must deterministically build identical buffers (same
+    /// storage, same die seed), and each worker then builds that buffer
+    /// once per group instead of once per chunk.
     fn run_specs(
         &self,
         sim: &LinkSimulator,
-        specs: &[CustomPoint],
-        offsets: Option<&[usize]>,
-        groups: Option<&[usize]>,
+        specs: &[CustomChunk],
+        groups: &[usize],
         make_buffer: &(dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
     ) -> Vec<HarqStats> {
         let cfg = *sim.config();
-        // Flatten every point into packet shards over absolute indices.
+        // Flatten every chunk into packet shards over absolute indices.
         let mut tasks: Vec<Shard> = Vec::new();
-        for (point, spec) in specs.iter().enumerate() {
-            let first = offsets.map_or(0, |o| o[point]);
-            let mut start = first;
-            while start < first + spec.n_packets {
-                let count = self.shard_packets.min(first + spec.n_packets - start);
+        for (chunk, spec) in specs.iter().enumerate() {
+            let end = spec.first_packet + spec.n_packets;
+            let mut start = spec.first_packet;
+            while start < end {
+                let count = self.shard_packets.min(end - start);
                 tasks.push(Shard {
-                    point,
+                    chunk,
                     start,
                     count,
                 });
@@ -505,7 +304,7 @@ impl SimulationEngine {
                 Worker::new(&cfg, sim.clone(), specs, groups, make_buffer, batch_lanes);
             vec![tasks
                 .iter()
-                .map(|t| (t.point, worker.run_shard(t)))
+                .map(|t| (t.chunk, worker.run_shard(t)))
                 .collect()]
         } else {
             let next = AtomicUsize::new(0);
@@ -522,7 +321,7 @@ impl SimulationEngine {
                             loop {
                                 let t = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(task) = tasks.get(t) else { break };
-                                out.push((task.point, worker.run_shard(task)));
+                                out.push((task.chunk, worker.run_shard(task)));
                             }
                             out
                         })
@@ -541,32 +340,32 @@ impl SimulationEngine {
             .iter()
             .map(|_| HarqStats::new(cfg.max_transmissions, cfg.payload_bits))
             .collect();
-        for (point, stats) in partials.drain(..).flatten() {
-            merged[point].merge(&stats);
+        for (chunk, stats) in partials.drain(..).flatten() {
+            merged[chunk].merge(&stats);
         }
         merged
     }
 }
 
-/// One contiguous range of packets of one operating point; `start` is an
-/// absolute index into the point's packet stream (non-zero for resumed
-/// chunks).
+/// One contiguous range of packets of one chunk; `start` is an absolute
+/// index into the point's packet stream (non-zero past a point's first
+/// chunk).
 struct Shard {
-    point: usize,
+    chunk: usize,
     start: usize,
     count: usize,
 }
 
 /// Per-thread execution state: a simulator handle, one buffer *set* per
-/// point touched (`batch_lanes` interchangeable buffers, each built by
+/// buffer group touched (`batch_lanes` interchangeable buffers, each built by
 /// the same deterministic factory — the same die), and reusable scratch
 /// space for the wave path.
 struct Worker<'a> {
     cfg: &'a SystemConfig,
     sim: LinkSimulator,
-    specs: &'a [CustomPoint],
-    /// Buffer-sharing group per point (`None`: one group per point).
-    groups: Option<&'a [usize]>,
+    specs: &'a [CustomChunk],
+    /// Buffer-sharing group per chunk.
+    groups: &'a [usize],
     make_buffer: &'a (dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
     // determinism: unordered-ok(keyed entry access only; never iterated)
     buffers: HashMap<usize, Vec<Box<dyn LlrBuffer + Send>>>,
@@ -582,8 +381,8 @@ impl<'a> Worker<'a> {
     fn new(
         cfg: &'a SystemConfig,
         sim: LinkSimulator,
-        specs: &'a [CustomPoint],
-        groups: Option<&'a [usize]>,
+        specs: &'a [CustomChunk],
+        groups: &'a [usize],
         make_buffer: &'a (dyn Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync),
         batch_lanes: usize,
     ) -> Self {
@@ -610,15 +409,15 @@ impl<'a> Worker<'a> {
     /// `p + l` and batched decoding is bit-identical per lane, so the
     /// recorded statistics are the same at every width. Lanes of a
     /// group's buffer set are interchangeable: the factory is
-    /// deterministic in `(point, fault_seed)` — the same die — and all
+    /// deterministic in `(chunk, fault_seed)` — the same die — and all
     /// per-packet buffer randomness is re-anchored through
     /// [`LlrBuffer::begin_packet`] (the property the engine's
     /// thread-invariance already rests on), so N copies behave exactly
     /// like one buffer reused serially.
     fn run_shard(&mut self, shard: &Shard) -> HarqStats {
-        let spec = self.specs[shard.point];
+        let spec = self.specs[shard.chunk];
         let make_buffer = self.make_buffer;
-        let group = self.groups.map_or(shard.point, |g| g[shard.point]);
+        let group = self.groups[shard.chunk];
         let mut stats = HarqStats::new(self.cfg.max_transmissions, self.cfg.payload_bits);
         while self.lane_scratch.len() < self.batch_lanes {
             self.lane_scratch.push(PacketScratch::new());
@@ -630,7 +429,7 @@ impl<'a> Worker<'a> {
             let set = self.buffers.entry(group).or_default();
             while set.len() < width {
                 let fault_seed = derive_seed(spec.seed, STREAM_FAULT_MAP);
-                set.push(make_buffer(shard.point, fault_seed));
+                set.push(make_buffer(shard.chunk, fault_seed));
             }
             self.rngs.clear();
             for (l, buf) in set.iter_mut().take(width).enumerate() {
@@ -691,25 +490,33 @@ mod tests {
     use crate::montecarlo::DefectSpec;
     use silicon::fault_map::FaultKind;
 
+    /// The chunk `first..first + n` of a point with its own die.
+    fn chunk(storage: StorageConfig, snr_db: f64, first: usize, n: usize, seed: u64) -> ChunkSpec {
+        ChunkSpec {
+            storage,
+            snr_db,
+            first_packet: first,
+            n_packets: n,
+            seed,
+            fault_seed: None,
+        }
+    }
+
     fn engine_stats(threads: usize, shard: usize) -> Vec<HarqStats> {
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
         let engine = SimulationEngine::with_threads(threads).shard_packets(shard);
-        engine.run_batch(
+        engine.run_chunks(
             &sim,
             &[
-                PointSpec {
-                    storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
-                    snr_db: 10.0,
-                    n_packets: 10,
-                    seed: 42,
-                },
-                PointSpec {
-                    storage: StorageConfig::Quantized,
-                    snr_db: 18.0,
-                    n_packets: 7,
-                    seed: 43,
-                },
+                chunk(
+                    StorageConfig::unprotected(0.10, cfg.llr_bits),
+                    10.0,
+                    0,
+                    10,
+                    42,
+                ),
+                chunk(StorageConfig::Quantized, 18.0, 0, 7, 43),
             ],
         )
     }
@@ -740,24 +547,20 @@ mod tests {
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
         let specs = [
-            PointSpec {
-                storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
-                snr_db: 8.0,
-                n_packets: 13,
-                seed: 21,
-            },
-            PointSpec {
-                storage: StorageConfig::Quantized,
-                snr_db: 16.0,
-                n_packets: 9,
-                seed: 22,
-            },
+            chunk(
+                StorageConfig::unprotected(0.10, cfg.llr_bits),
+                8.0,
+                0,
+                13,
+                21,
+            ),
+            chunk(StorageConfig::Quantized, 16.0, 0, 9, 22),
         ];
         let run = |threads: usize, lanes: usize| {
             SimulationEngine::with_threads(threads)
                 .shard_packets(5)
                 .batch_lanes(lanes)
-                .run_batch(&sim, &specs)
+                .run_chunks(&sim, &specs)
         };
         let single = run(1, 1);
         for (threads, lanes) in [(1, 2), (1, 8), (2, 4), (4, 8), (1, 13)] {
@@ -771,35 +574,50 @@ mod tests {
 
     #[test]
     fn grid_shares_one_die_per_row() {
-        // With a per-row die, the SNR=∞-ish column of a faulty row is
-        // reproducible: run the grid twice and compare.
+        // Two SNR chunks of one row pin the same die: each equals the
+        // same chunk run alone, so sharing the row's buffer group
+        // cannot leak state between cells.
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let engine = SimulationEngine::serial();
-        let storages = [
-            StorageConfig::Quantized,
-            StorageConfig::unprotected(0.10, cfg.llr_bits),
-        ];
-        let a = engine.run_grid(&sim, &storages, &[10.0, 20.0], 5, 7);
-        let b = engine.run_grid(&sim, &storages, &[10.0, 20.0], 5, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.stats.len(), 2);
-        assert_eq!(a.stats[0].len(), 2);
+        let engine = SimulationEngine::serial().shard_packets(2);
+        let row: Vec<ChunkSpec> = [10.0, 20.0]
+            .iter()
+            .enumerate()
+            .map(|(c, &snr)| ChunkSpec {
+                fault_seed: Some(7),
+                ..chunk(
+                    StorageConfig::unprotected(0.10, cfg.llr_bits),
+                    snr,
+                    0,
+                    5,
+                    70 + c as u64,
+                )
+            })
+            .collect();
+        let together = engine.run_chunks(&sim, &row);
+        assert_eq!(together.len(), 2);
+        for (spec, stats) in row.iter().zip(&together) {
+            assert_eq!(
+                &engine.run_chunks(&sim, std::slice::from_ref(spec))[0],
+                stats
+            );
+        }
     }
 
     #[test]
     fn batch_with_custom_buffers_is_deterministic() {
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let spec = vec![CustomPoint {
+        let spec = [CustomChunk {
             snr_db: 14.0,
+            first_packet: 0,
             n_packets: 9,
             seed: 5,
         }];
         let run = |threads| {
             SimulationEngine::with_threads(threads)
                 .shard_packets(2)
-                .run_batch_with_buffers(&sim, &spec, |_, fault_seed| {
+                .run_chunks_with_buffers(&sim, &spec, |_, fault_seed| {
                     Box::new(crate::buffer::TransientLlrBuffer::new(
                         crate::buffer::QuantizedLlrBuffer::new(cfg.coded_len(), cfg.quantizer()),
                         cfg.quantizer(),
@@ -817,13 +635,17 @@ mod tests {
         let sim = LinkSimulator::new(cfg);
         let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
         let engine = SimulationEngine::with_threads(2).shard_packets(3);
-        let one_shot = engine.run_point(&sim, &storage, 12.0, 11, 77);
+        let one_shot = engine.run_chunks(&sim, &[chunk(storage.clone(), 12.0, 0, 11, 77)]);
         // 11 packets split 0..4, 4..9, 9..11.
+        let parts: Vec<ChunkSpec> = [(0, 4), (4, 5), (9, 2)]
+            .into_iter()
+            .map(|(first, n)| chunk(storage.clone(), 12.0, first, n, 77))
+            .collect();
         let mut merged = HarqStats::new(cfg.max_transmissions, cfg.payload_bits);
-        for (first, n) in [(0, 4), (4, 5), (9, 2)] {
-            merged.merge(&engine.run_point_resumed(&sim, &storage, 12.0, first, n, 77));
+        for stats in engine.run_chunks(&sim, &parts) {
+            merged.merge(&stats);
         }
-        assert_eq!(one_shot, merged);
+        assert_eq!(one_shot[0], merged);
     }
 
     #[test]
@@ -832,40 +654,32 @@ mod tests {
         let sim = LinkSimulator::new(cfg);
         let storage = StorageConfig::unprotected(0.10, cfg.llr_bits);
         let engine = SimulationEngine::serial();
-        let chunk = |fault_seed| {
+        let run = |fault_seed| {
             engine.run_chunks(
                 &sim,
                 &[ChunkSpec {
-                    storage: storage.clone(),
-                    snr_db: 8.0,
-                    first_packet: 0,
-                    n_packets: 8,
-                    seed: 9,
                     fault_seed,
+                    ..chunk(storage.clone(), 8.0, 0, 8, 9)
                 }],
             )
         };
-        // `None` derives the point's own die — identical to run_point.
-        assert_eq!(chunk(None)[0], engine.run_point(&sim, &storage, 8.0, 8, 9));
+        // `None` derives the point's own die.
+        assert_eq!(run(None), run(Some(derive_seed(9, STREAM_FAULT_MAP))));
         // An explicit die seed is honored deterministically.
-        assert_eq!(chunk(Some(123)), chunk(Some(123)));
+        assert_eq!(run(Some(123)), run(Some(123)));
     }
 
     #[test]
     fn ecc_storage_runs_through_engine() {
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let stats = SimulationEngine::with_threads(2).run_point(
-            &sim,
-            &StorageConfig::Ecc {
-                defects: DefectSpec::Fraction(0.001),
-                fault_kind: FaultKind::Flip,
-            },
-            25.0,
-            6,
-            5,
-        );
-        assert_eq!(stats.packets, 6);
-        assert_eq!(stats.delivered, stats.packets);
+        let ecc = StorageConfig::Ecc {
+            defects: DefectSpec::Fraction(0.001),
+            fault_kind: FaultKind::Flip,
+        };
+        let stats =
+            SimulationEngine::with_threads(2).run_chunks(&sim, &[chunk(ecc, 25.0, 0, 6, 5)]);
+        assert_eq!(stats[0].packets, 6);
+        assert_eq!(stats[0].delivered, stats[0].packets);
     }
 }

@@ -10,8 +10,8 @@
 
 use dsp::stats::{mean, variance};
 
+use crate::campaign::CampaignPoint;
 use crate::config::SystemConfig;
-use crate::engine::PointSpec;
 use crate::montecarlo::StorageConfig;
 use crate::simulator::LinkSimulator;
 
@@ -50,12 +50,14 @@ pub fn run(
     // One engine batch, one point per die: the die index perturbs the
     // seed, drawing a fresh fault map (and fresh channel noise) per die,
     // and all dies simulate concurrently.
-    let specs: Vec<PointSpec> = (0..n_dies)
-        .map(|die| PointSpec {
-            storage: storage.clone(),
-            snr_db,
-            n_packets: budget.packets_per_point,
-            seed: budget.seed.wrapping_add(0x10_0000 + die as u64),
+    let points: Vec<CampaignPoint> = (0..n_dies)
+        .map(|die| {
+            CampaignPoint::new(
+                storage.clone(),
+                snr_db,
+                budget.packets_per_point,
+                budget.seed.wrapping_add(0x10_0000 + die as u64),
+            )
         })
         .collect();
     // A spread study needs equal per-die sample counts: adaptive early
@@ -64,7 +66,7 @@ pub fn run(
     let per_die: Vec<f64> = budget
         .equal_samples()
         .runner("die-variation")
-        .run_batch(&sim, &specs)
+        .run(&sim, &points)
         .iter()
         .map(|s| s.normalized_throughput())
         .collect();

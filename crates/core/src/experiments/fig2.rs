@@ -10,8 +10,8 @@
 use dsp::stats::wilson_interval;
 
 use crate::campaign::controller::WILSON_Z;
+use crate::campaign::CampaignPoint;
 use crate::config::SystemConfig;
-use crate::engine::PointSpec;
 use crate::montecarlo::StorageConfig;
 use crate::report::{render_series_table, Series};
 use crate::simulator::LinkSimulator;
@@ -43,19 +43,21 @@ pub struct BlerCurve {
 /// Runs the experiment.
 pub fn run(cfg: &SystemConfig, budget: ExperimentBudget) -> Fig2Result {
     let sim = LinkSimulator::new(*cfg);
-    let specs: Vec<PointSpec> = SNR_REGIMES
+    let points: Vec<CampaignPoint> = SNR_REGIMES
         .iter()
         .enumerate()
-        .map(|(i, &snr_db)| PointSpec {
-            storage: StorageConfig::Quantized,
-            snr_db,
-            n_packets: budget.packets_per_point,
-            seed: budget.seed.wrapping_add(i as u64),
+        .map(|(i, &snr_db)| {
+            CampaignPoint::new(
+                StorageConfig::Quantized,
+                snr_db,
+                budget.packets_per_point,
+                budget.seed.wrapping_add(i as u64),
+            )
         })
         .collect();
     let bler = budget
         .runner("fig2")
-        .run_batch(&sim, &specs)
+        .run(&sim, &points)
         .iter()
         .zip(&SNR_REGIMES)
         .map(|(stats, &snr)| BlerCurve {

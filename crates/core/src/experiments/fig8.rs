@@ -13,8 +13,8 @@ use silicon::ecc::Secded;
 use silicon::fault_map::FaultKind;
 use silicon::ProtectionPlan;
 
+use crate::campaign::CampaignPoint;
 use crate::config::SystemConfig;
-use crate::engine::PointSpec;
 use crate::montecarlo::{DefectSpec, StorageConfig};
 use crate::report::render_table;
 use crate::simulator::LinkSimulator;
@@ -58,37 +58,35 @@ pub fn run(cfg: &SystemConfig, budget: ExperimentBudget, snr_db: f64) -> Fig8Res
     let ecc = Secded::new(cfg.llr_bits);
 
     // One engine batch: reference point, every protection level, ECC.
-    let mut specs = vec![PointSpec {
-        storage: StorageConfig::Quantized,
+    let n = budget.packets_per_point;
+    let mut points = vec![CampaignPoint::new(
+        StorageConfig::Quantized,
         snr_db,
-        n_packets: budget.packets_per_point,
-        seed: budget.seed,
-    }];
+        n,
+        budget.seed,
+    )];
     for (i, protected) in (0..=cfg.llr_bits).enumerate() {
-        specs.push(PointSpec {
-            storage: StorageConfig::msb_protected(protected, DEFECT_FRACTION, cfg.llr_bits),
+        points.push(CampaignPoint::new(
+            StorageConfig::msb_protected(protected, DEFECT_FRACTION, cfg.llr_bits),
             snr_db,
-            n_packets: budget.packets_per_point,
-            seed: budget.seed.wrapping_add(31 * i as u64),
-        });
+            n,
+            budget.seed.wrapping_add(31 * i as u64),
+        ));
     }
-    specs.push(PointSpec {
-        storage: StorageConfig::Ecc {
+    points.push(CampaignPoint::new(
+        StorageConfig::Ecc {
             defects: DefectSpec::Fraction(DEFECT_FRACTION),
             fault_kind: FaultKind::Flip,
         },
         snr_db,
-        n_packets: budget.packets_per_point,
-        seed: budget.seed.wrapping_add(4242),
-    });
+        n,
+        budget.seed.wrapping_add(4242),
+    ));
 
     // `best_protection` ranks the arms against each other, so every arm
     // gets the same sample count (no adaptive early stop) — otherwise
     // the argmax would ride on unequal CI widths.
-    let stats = budget
-        .equal_samples()
-        .runner("fig8")
-        .run_batch(&sim, &specs);
+    let stats = budget.equal_samples().runner("fig8").run(&sim, &points);
     let reference = stats[0].normalized_throughput().max(1e-9);
 
     let mut rows = Vec::new();

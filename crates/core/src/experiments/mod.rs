@@ -19,10 +19,21 @@ pub mod soft_errors;
 
 use hspa_phy::harq::{HarqStats, LlrBuffer};
 
-use crate::campaign::{Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint};
-use crate::engine::{CustomPoint, GridResult, PointSpec, SimulationEngine};
+use crate::campaign::{
+    grid_points, sweep_points, Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint,
+};
+use crate::engine::{ChunkSpec, CustomChunk, SimulationEngine};
 use crate::montecarlo::StorageConfig;
 use crate::simulator::LinkSimulator;
+
+/// A full (storage × SNR) evaluation produced by [`Runner::run_grid`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridResult {
+    /// SNR grid (dB), shared by every row.
+    pub snr_db: Vec<f64>,
+    /// `stats[row][col]` = statistics of storage `row` at SNR `col`.
+    pub stats: Vec<Vec<HarqStats>>,
+}
 
 /// Monte-Carlo effort knobs shared by all link-simulation experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,7 +140,9 @@ impl Default for ExperimentBudget {
 
 /// The execution path of an experiment: every figure calls the engine
 /// through this dispatcher, so `--precision`-style adaptive campaigns
-/// and classic fixed budgets share one code path per figure.
+/// and classic fixed budgets share one code path per figure. Only
+/// [`Runner::run`] and [`Runner::run_with_buffers`] depend on the mode;
+/// grids and sweeps build their points once and run them either way.
 ///
 /// Because the campaign's shard filter lives **below** this dispatcher
 /// (in [`Campaign`]'s adaptive loop), every figure binary can run a
@@ -157,31 +170,62 @@ impl Runner {
         }
     }
 
-    /// Batch of explicit operating points
-    /// (cf. [`SimulationEngine::run_batch`]). Under a campaign each
-    /// spec's `n_packets` becomes that point's maximum budget.
-    pub fn run_batch(&self, sim: &LinkSimulator, specs: &[PointSpec]) -> Vec<HarqStats> {
+    /// Runs explicit operating points, statistics in input order. One
+    /// shot, each point is the single engine chunk `0..max_packets`;
+    /// under a campaign `max_packets` is the point's budget cap.
+    pub fn run(&self, sim: &LinkSimulator, points: &[CampaignPoint]) -> Vec<HarqStats> {
         match self {
-            Runner::OneShot(engine) => engine.run_batch(sim, specs),
-            Runner::Adaptive(campaign) => {
-                let points: Vec<CampaignPoint> = specs
+            Runner::OneShot(engine) => {
+                let chunks: Vec<ChunkSpec> = points
                     .iter()
-                    .map(|s| CampaignPoint {
-                        label: format!("{} @ {} dB", s.storage.label(), s.snr_db),
-                        storage: s.storage.clone(),
-                        snr_db: s.snr_db,
-                        max_packets: s.n_packets,
-                        seed: s.seed,
-                        fault_seed: None,
+                    .map(|p| ChunkSpec {
+                        storage: p.storage.clone(),
+                        snr_db: p.snr_db,
+                        first_packet: 0,
+                        n_packets: p.max_packets,
+                        seed: p.seed,
+                        fault_seed: p.fault_seed,
                     })
                     .collect();
-                campaign.run(sim, &points).stats()
+                engine.run_chunks(sim, &chunks)
+            }
+            Runner::Adaptive(campaign) => campaign.run(sim, points).stats(),
+        }
+    }
+
+    /// [`Runner::run`] over caller-built buffers. Each point's
+    /// `fingerprint` must canonically describe the buffer the factory
+    /// builds for it — it keys the campaign store. The factory receives
+    /// the point index and the point's fault-stream seed.
+    pub fn run_with_buffers<F>(
+        &self,
+        sim: &LinkSimulator,
+        points: &[CustomCampaignPoint],
+        make_buffer: F,
+    ) -> Vec<HarqStats>
+    where
+        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
+    {
+        match self {
+            Runner::OneShot(engine) => {
+                let chunks: Vec<CustomChunk> = points
+                    .iter()
+                    .map(|p| CustomChunk {
+                        snr_db: p.snr_db,
+                        first_packet: 0,
+                        n_packets: p.max_packets,
+                        seed: p.seed,
+                    })
+                    .collect();
+                engine.run_chunks_with_buffers(sim, &chunks, make_buffer)
+            }
+            Runner::Adaptive(campaign) => {
+                campaign.run_with_buffers(sim, points, make_buffer).stats()
             }
         }
     }
 
-    /// SNR sweep of one storage configuration
-    /// (cf. [`SimulationEngine::run_sweep`]).
+    /// SNR sweep of one storage configuration ([`sweep_points`]).
     pub fn run_sweep(
         &self,
         sim: &LinkSimulator,
@@ -190,16 +234,11 @@ impl Runner {
         n_packets: usize,
         seed: u64,
     ) -> Vec<HarqStats> {
-        match self {
-            Runner::OneShot(engine) => engine.run_sweep(sim, storage, snrs_db, n_packets, seed),
-            Runner::Adaptive(campaign) => {
-                campaign.run_sweep(sim, storage, snrs_db, n_packets, seed)
-            }
-        }
+        self.run(sim, &sweep_points(storage, snrs_db, n_packets, seed))
     }
 
     /// Full (storage × SNR) matrix with one shared die per row
-    /// (cf. [`SimulationEngine::run_grid`]).
+    /// ([`grid_points`]).
     pub fn run_grid(
         &self,
         sim: &LinkSimulator,
@@ -208,53 +247,15 @@ impl Runner {
         n_packets: usize,
         master_seed: u64,
     ) -> GridResult {
-        match self {
-            Runner::OneShot(engine) => {
-                engine.run_grid(sim, storages, snrs_db, n_packets, master_seed)
-            }
-            Runner::Adaptive(campaign) => {
-                campaign.run_grid(sim, storages, snrs_db, n_packets, master_seed)
-            }
-        }
-    }
-
-    /// Batch over caller-built buffers
-    /// (cf. [`SimulationEngine::run_batch_with_buffers`]).
-    /// `fingerprints[i]` must canonically describe the buffer the
-    /// factory builds for point `i` — it keys the campaign store.
-    pub fn run_batch_with_buffers<F>(
-        &self,
-        sim: &LinkSimulator,
-        points: &[CustomPoint],
-        fingerprints: &[String],
-        make_buffer: F,
-    ) -> Vec<HarqStats>
-    where
-        F: Fn(usize, u64) -> Box<dyn LlrBuffer + Send> + Sync,
-    {
-        assert_eq!(
-            points.len(),
-            fingerprints.len(),
-            "one fingerprint per custom point"
-        );
-        match self {
-            Runner::OneShot(engine) => engine.run_batch_with_buffers(sim, points, make_buffer),
-            Runner::Adaptive(campaign) => {
-                let cpoints: Vec<CustomCampaignPoint> = points
-                    .iter()
-                    .zip(fingerprints)
-                    .map(|(p, fp)| CustomCampaignPoint {
-                        label: format!("{fp} @ {} dB", p.snr_db),
-                        fingerprint: fp.clone(),
-                        snr_db: p.snr_db,
-                        max_packets: p.n_packets,
-                        seed: p.seed,
-                    })
-                    .collect();
-                campaign
-                    .run_with_buffers(sim, &cpoints, make_buffer)
-                    .stats()
-            }
+        let flat = self.run(sim, &grid_points(storages, snrs_db, n_packets, master_seed));
+        let mut it = flat.into_iter();
+        let stats = storages
+            .iter()
+            .map(|_| it.by_ref().take(snrs_db.len()).collect())
+            .collect();
+        GridResult {
+            snr_db: snrs_db.to_vec(),
+            stats,
         }
     }
 }
@@ -289,16 +290,16 @@ mod tests {
         // reproduce the fixed-budget engine bit-for-bit.
         let cfg = SystemConfig::fast_test();
         let sim = LinkSimulator::new(cfg);
-        let specs = vec![PointSpec {
-            storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
-            snr_db: 9.0,
-            n_packets: 13,
-            seed: 5,
-        }];
+        let points = [CampaignPoint::new(
+            StorageConfig::unprotected(0.10, cfg.llr_bits),
+            9.0,
+            13,
+            5,
+        )];
         let dir =
             std::env::temp_dir().join(format!("experiments-runner-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let one_shot = Runner::OneShot(SimulationEngine::serial()).run_batch(&sim, &specs);
+        let one_shot = Runner::OneShot(SimulationEngine::serial()).run(&sim, &points);
         let settings = CampaignSettings {
             initial_chunk: 4,
             ..CampaignSettings::exhaustive()
@@ -306,7 +307,7 @@ mod tests {
         let adaptive = Runner::Adaptive(Box::new(
             Campaign::new("eq", settings, SimulationEngine::with_threads(2)).with_store_dir(&dir),
         ))
-        .run_batch(&sim, &specs);
+        .run(&sim, &points);
         assert_eq!(one_shot, adaptive);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,8 +14,8 @@ use silicon::area_power::PowerModel;
 use silicon::cell::{BitCellKind, CellFailureModel};
 use silicon::ProtectionPlan;
 
+use crate::campaign::CampaignPoint;
 use crate::config::SystemConfig;
-use crate::engine::PointSpec;
 use crate::montecarlo::StorageConfig;
 use crate::report::render_table;
 use crate::simulator::LinkSimulator;
@@ -89,17 +89,19 @@ pub fn run(cfg: &SystemConfig, budget: ExperimentBudget, snr_db: f64) -> PowerRe
         ),
     ];
 
-    let specs: Vec<PointSpec> = points
+    let specs: Vec<CampaignPoint> = points
         .iter()
         .enumerate()
-        .map(|(i, (_, _, _, storage))| PointSpec {
-            storage: storage.clone(),
-            snr_db,
-            n_packets: budget.packets_per_point,
-            seed: budget.seed.wrapping_add(555 * i as u64),
+        .map(|(i, (_, _, _, storage))| {
+            CampaignPoint::new(
+                storage.clone(),
+                snr_db,
+                budget.packets_per_point,
+                budget.seed.wrapping_add(555 * i as u64),
+            )
         })
         .collect();
-    let stats = budget.runner("power").run_batch(&sim, &specs);
+    let stats = budget.runner("power").run(&sim, &specs);
 
     let rows = points
         .into_iter()

@@ -11,8 +11,8 @@
 use silicon::cell::SoftErrorModel;
 
 use crate::buffer::{QuantizedLlrBuffer, TransientLlrBuffer};
+use crate::campaign::CustomCampaignPoint;
 use crate::config::SystemConfig;
-use crate::engine::CustomPoint;
 use crate::report::{render_table, Series};
 use crate::simulator::LinkSimulator;
 
@@ -41,34 +41,31 @@ pub fn run(cfg: &SystemConfig, budget: ExperimentBudget, snr_db: f64) -> SoftErr
     // The transient buffer is outside StorageConfig, so the engine's
     // buffer-factory escape hatch supplies it: one upset rate per point,
     // reseeded per packet (begin_packet) so sharding cannot shift draws.
-    let specs: Vec<CustomPoint> = UPSET_RATES
-        .iter()
-        .enumerate()
-        .map(|(i, _)| CustomPoint {
-            snr_db,
-            n_packets: budget.packets_per_point,
-            seed: budget.seed.wrapping_add(1 + i as u64),
-        })
-        .collect();
     // Custom buffers are opaque to the campaign store, so each point
     // carries a canonical fingerprint of the factory's configuration.
-    let fingerprints: Vec<String> = UPSET_RATES
+    let points: Vec<CustomCampaignPoint> = UPSET_RATES
         .iter()
-        .map(|&p| format!("transient-upset|p={p:e}|quantized"))
+        .enumerate()
+        .map(|(i, &p)| {
+            CustomCampaignPoint::new(
+                format!("transient-upset|p={p:e}|quantized"),
+                snr_db,
+                budget.packets_per_point,
+                budget.seed.wrapping_add(1 + i as u64),
+            )
+        })
         .collect();
-    let stats = budget.runner("soft-errors").run_batch_with_buffers(
-        &sim,
-        &specs,
-        &fingerprints,
-        |point, fault_seed| {
-            Box::new(TransientLlrBuffer::new(
-                QuantizedLlrBuffer::new(cfg.coded_len(), quantizer),
-                quantizer,
-                UPSET_RATES[point],
-                fault_seed,
-            ))
-        },
-    );
+    let stats =
+        budget
+            .runner("soft-errors")
+            .run_with_buffers(&sim, &points, |point, fault_seed| {
+                Box::new(TransientLlrBuffer::new(
+                    QuantizedLlrBuffer::new(cfg.coded_len(), quantizer),
+                    quantizer,
+                    UPSET_RATES[point],
+                    fault_seed,
+                ))
+            });
     let throughput = stats.iter().map(|s| s.normalized_throughput()).collect();
     SoftErrorResult {
         snr_db,

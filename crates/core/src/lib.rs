@@ -68,7 +68,7 @@ pub mod telemetry;
 pub use buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer, TransientLlrBuffer};
 pub use campaign::{Campaign, CampaignPoint, CampaignReport, CampaignSettings, ShardSpec};
 pub use config::SystemConfig;
-pub use engine::{ChunkSpec, CustomChunk, CustomPoint, GridResult, PointSpec, SimulationEngine};
+pub use engine::{ChunkSpec, CustomChunk, SimulationEngine};
 pub use montecarlo::{run_point, DefectSpec, StorageConfig};
 
 /// Replaces `path` with `bytes` atomically: creates the parent

@@ -5,8 +5,8 @@
 //! methodology: the fault map is drawn once per run (one die with exactly
 //! `N_f` defects) and all packets of the run share that die.
 //!
-//! These functions are thin serial wrappers over
-//! [`crate::engine::SimulationEngine`] and produce statistics that are
+//! [`run_point`] is a thin serial wrapper over
+//! [`crate::engine::SimulationEngine`] and produces statistics that are
 //! bit-identical to the engine at any thread count — the per-packet seed
 //! tree is the single source of randomness on both paths.
 
@@ -18,7 +18,7 @@ use silicon::ProtectionPlan;
 
 use crate::buffer::{EccLlrBuffer, FaultyLlrBuffer, QuantizedLlrBuffer};
 use crate::config::SystemConfig;
-use crate::engine::SimulationEngine;
+use crate::engine::{ChunkSpec, SimulationEngine};
 use crate::simulator::LinkSimulator;
 
 /// How many cells of the LLR array are defective.
@@ -195,7 +195,9 @@ pub fn build_buffer(
     }
 }
 
-/// Runs `n_packets` transport blocks at one `(storage, SNR)` point.
+/// Runs `n_packets` transport blocks at one `(storage, SNR)` point — the
+/// crate's quickstart: one serial engine chunk over packets
+/// `0..n_packets`.
 ///
 /// Fully deterministic in `seed`: the fault map uses one derived stream
 /// ([`STREAM_FAULT_MAP`]) and every packet its own derived stream, so the
@@ -207,32 +209,17 @@ pub fn run_point(
     n_packets: usize,
     seed: u64,
 ) -> HarqStats {
-    let sim = LinkSimulator::new(*cfg);
-    run_point_with(&sim, storage, snr_db, n_packets, seed)
-}
-
-/// Like [`run_point`] but reuses an existing simulator (cheaper inside
-/// sweeps: the turbo interleaver is rebuilt otherwise).
-pub fn run_point_with(
-    sim: &LinkSimulator,
-    storage: &StorageConfig,
-    snr_db: f64,
-    n_packets: usize,
-    seed: u64,
-) -> HarqStats {
-    SimulationEngine::serial().run_point(sim, storage, snr_db, n_packets, seed)
-}
-
-/// Runs a full SNR sweep for one storage configuration (serially; use
-/// [`SimulationEngine::run_sweep`] directly for the parallel version).
-pub fn run_sweep(
-    sim: &LinkSimulator,
-    storage: &StorageConfig,
-    snrs_db: &[f64],
-    n_packets: usize,
-    seed: u64,
-) -> Vec<HarqStats> {
-    SimulationEngine::serial().run_sweep(sim, storage, snrs_db, n_packets, seed)
+    let chunk = ChunkSpec {
+        storage: storage.clone(),
+        snr_db,
+        first_packet: 0,
+        n_packets,
+        seed,
+        fault_seed: None,
+    };
+    SimulationEngine::serial()
+        .run_chunks(&LinkSimulator::new(*cfg), &[chunk])
+        .remove(0)
 }
 
 #[cfg(test)]

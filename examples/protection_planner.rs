@@ -10,9 +10,8 @@
 //! the gain/area efficiency metric of Fig. 8, then recommends one.
 
 use resilience_core::config::SystemConfig;
-use resilience_core::montecarlo::{run_point_with, DefectSpec, StorageConfig};
+use resilience_core::montecarlo::{run_point, DefectSpec, StorageConfig};
 use resilience_core::report::render_table;
-use resilience_core::simulator::LinkSimulator;
 use silicon::area_power::protection_efficiency;
 use silicon::ecc::Secded;
 use silicon::fault_map::FaultKind;
@@ -24,10 +23,9 @@ fn main() {
     let packets: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30);
     let frac = defect_pct / 100.0;
     let cfg = SystemConfig::paper_64qam();
-    let sim = LinkSimulator::new(cfg);
     let snr = 12.0;
 
-    let reference = run_point_with(&sim, &StorageConfig::Quantized, snr, packets, 7)
+    let reference = run_point(&cfg, &StorageConfig::Quantized, snr, packets, 7)
         .normalized_throughput()
         .max(1e-9);
     println!(
@@ -39,8 +37,8 @@ fn main() {
     for protected in 0..=cfg.llr_bits {
         let plan = ProtectionPlan::msb_protected(cfg.llr_bits, protected);
         let storage = StorageConfig::msb_protected(protected, frac, cfg.llr_bits);
-        let thr = run_point_with(&sim, &storage, snr, packets, 7 + protected as u64)
-            .normalized_throughput();
+        let thr =
+            run_point(&cfg, &storage, snr, packets, 7 + protected as u64).normalized_throughput();
         let overhead = plan.area_overhead_vs_6t();
         let eff = protection_efficiency(thr / reference, overhead);
         let label = format!("{protected} MSBs in 8T");
@@ -56,8 +54,8 @@ fn main() {
         ]);
     }
     let ecc = Secded::new(cfg.llr_bits);
-    let thr = run_point_with(
-        &sim,
+    let thr = run_point(
+        &cfg,
         &StorageConfig::Ecc {
             defects: DefectSpec::Fraction(frac),
             fault_kind: FaultKind::Flip,

@@ -11,8 +11,7 @@
 //! trade-off for the plain 6T array and the 4-MSB hybrid.
 
 use resilience_core::config::SystemConfig;
-use resilience_core::montecarlo::{run_point_with, DefectSpec, StorageConfig};
-use resilience_core::simulator::LinkSimulator;
+use resilience_core::montecarlo::{run_point, DefectSpec, StorageConfig};
 use silicon::area_power::PowerModel;
 use silicon::cell::{BitCellKind, CellFailureModel};
 use silicon::fault_map::FaultKind;
@@ -22,7 +21,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let packets: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(30);
     let cfg = SystemConfig::paper_64qam();
-    let sim = LinkSimulator::new(cfg);
     let model = CellFailureModel::dac12();
     let pm = PowerModel::dac12();
     let snr = 18.0;
@@ -58,7 +56,7 @@ fn main() {
                 defects: DefectSpec::AtVdd(vdd),
                 fault_kind: FaultKind::Flip,
             };
-            let stats = run_point_with(&sim, &storage, snr, packets, 42 + i);
+            let stats = run_point(&cfg, &storage, snr, packets, 42 + i);
             let thr = stats.normalized_throughput();
             let frac = plan.expected_defect_fraction(&model, vdd);
             let power = pm.cell_power(plan.relative_area(), vdd) / pm.cell_power(1.0, 1.0);

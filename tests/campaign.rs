@@ -12,9 +12,12 @@
 
 use std::path::PathBuf;
 
-use resilience_core::campaign::{Campaign, CampaignPoint, CampaignSettings};
+use resilience_core::campaign::{
+    grid_points, sweep_points, Campaign, CampaignPoint, CampaignSettings, CustomCampaignPoint,
+};
 use resilience_core::config::SystemConfig;
-use resilience_core::engine::SimulationEngine;
+use resilience_core::engine::{ChunkSpec, SimulationEngine};
+use resilience_core::experiments::Runner;
 use resilience_core::montecarlo::StorageConfig;
 use resilience_core::simulator::LinkSimulator;
 
@@ -95,16 +98,20 @@ fn adaptive_campaign_is_thread_invariant_and_matches_one_shot() {
     // over exactly the realized packet count.
     let engine = SimulationEngine::with_threads(8);
     for (outcome, point) in serial.outcomes.iter().zip(&points) {
-        let one_shot = engine.run_point(
+        let one_shot = engine.run_chunks(
             &sim,
-            &point.storage,
-            point.snr_db,
-            outcome.packets(),
-            point.seed,
+            &[ChunkSpec {
+                storage: point.storage.clone(),
+                snr_db: point.snr_db,
+                first_packet: 0,
+                n_packets: outcome.packets(),
+                seed: point.seed,
+                fault_seed: None,
+            }],
         );
         assert_eq!(
             outcome.stats,
-            one_shot,
+            one_shot[0],
             "chunked adaptive result of '{}' must equal a one-shot run of {} packets",
             point.label,
             outcome.packets()
@@ -179,13 +186,14 @@ fn adaptive_grid_saves_packets_vs_fixed_budget() {
     ];
     let snrs = [4.0, 12.0, 25.0];
     let max_packets = 64;
-    let campaign =
-        Campaign::new("grid", settings(32), SimulationEngine::auto()).with_store_dir(&dir);
-    let grid = campaign.run_grid(&sim, &storages, &snrs, max_packets, SEED);
+    let runner = Runner::Adaptive(Box::new(
+        Campaign::new("grid", settings(32), SimulationEngine::auto()).with_store_dir(&dir),
+    ));
+    let grid = runner.run_grid(&sim, &storages, &snrs, max_packets, SEED);
     assert_eq!(grid.stats.len(), storages.len());
     assert_eq!(grid.stats[0].len(), snrs.len());
 
-    let totals = campaign.manifest().totals();
+    let totals = runner.campaign().unwrap().manifest().totals();
     let fixed = (storages.len() * snrs.len() * max_packets) as u64;
     assert_eq!(totals.budget_packets, fixed);
     assert!(
@@ -203,9 +211,9 @@ fn adaptive_grid_saves_packets_vs_fixed_budget() {
 
 #[test]
 fn exhaustive_campaign_grid_and_sweep_match_the_engine() {
-    // Campaign::run_grid / run_sweep re-derive the engine's seed tree
-    // (row seed, shared die, the 0x100+column offset); this pins the two
-    // paths together so neither copy can silently diverge.
+    // Under exhaustive settings the adaptive runner realizes every
+    // point's full budget in chunks, so each `Runner` entry point must
+    // return exactly what the one-shot runner does.
     let sim = sim();
     let cfg = *sim.config();
     let dir = temp_dir("engine-parity");
@@ -220,17 +228,48 @@ fn exhaustive_campaign_grid_and_sweep_match_the_engine() {
         initial_chunk: 3,
         ..CampaignSettings::exhaustive()
     };
+    let one_shot = Runner::OneShot(engine.clone());
+    let adaptive = Runner::Adaptive(Box::new(
+        Campaign::new("parity", never_stop, engine).with_store_dir(&dir),
+    ));
 
-    let campaign = Campaign::new("parity", never_stop, engine.clone()).with_store_dir(&dir);
+    let points = waterfall_points(&cfg, 7);
     assert_eq!(
-        campaign.run_grid(&sim, &storages, &snrs, 7, SEED),
-        engine.run_grid(&sim, &storages, &snrs, 7, SEED),
-        "exhaustive campaign grid must equal the one-shot engine grid"
+        adaptive.run(&sim, &points),
+        one_shot.run(&sim, &points),
+        "run"
     );
     assert_eq!(
-        campaign.run_sweep(&sim, &storages[1], &snrs, 7, SEED),
-        engine.run_sweep(&sim, &storages[1], &snrs, 7, SEED),
-        "exhaustive campaign sweep must equal the one-shot engine sweep"
+        adaptive.run_grid(&sim, &storages, &snrs, 7, SEED),
+        one_shot.run_grid(&sim, &storages, &snrs, 7, SEED),
+        "run_grid"
+    );
+    assert_eq!(
+        adaptive.run_sweep(&sim, &storages[1], &snrs, 7, SEED),
+        one_shot.run_sweep(&sim, &storages[1], &snrs, 7, SEED),
+        "run_sweep"
+    );
+
+    // Custom buffers: a transient-upset wrapper whose rate depends on
+    // the point index, so a factory handed the wrong index would show.
+    let rates = [0.0, 0.02];
+    let custom: Vec<CustomCampaignPoint> = rates
+        .iter()
+        .enumerate()
+        .map(|(i, p)| CustomCampaignPoint::new(format!("upset={p}"), 10.0, 7, SEED + i as u64))
+        .collect();
+    let factory = |point: usize, fault_seed: u64| -> Box<dyn hspa_phy::harq::LlrBuffer + Send> {
+        Box::new(resilience_core::TransientLlrBuffer::new(
+            resilience_core::QuantizedLlrBuffer::new(cfg.coded_len(), cfg.quantizer()),
+            cfg.quantizer(),
+            rates[point],
+            fault_seed,
+        ))
+    };
+    assert_eq!(
+        adaptive.run_with_buffers(&sim, &custom, factory),
+        one_shot.run_with_buffers(&sim, &custom, factory),
+        "run_with_buffers"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -255,38 +294,25 @@ const PINNED_TREE: [(usize, f64, &str, u64, Option<u64>); 7] = [
 
 #[test]
 fn grid_and_sweep_seed_trees_are_pinned() {
-    use resilience_core::campaign::hash::{point_fingerprint, point_key};
-    let sim = sim();
-    let cfg = *sim.config();
+    let cfg = SystemConfig::fast_test();
     let storages = [
         StorageConfig::Quantized,
         StorageConfig::unprotected(0.10, cfg.llr_bits),
     ];
-    let dir = temp_dir("seed-tree");
-    let _ = std::fs::remove_dir_all(&dir);
-    let campaign = Campaign::new(
-        "seed-tree",
-        CampaignSettings::exhaustive(),
-        SimulationEngine::serial(),
-    )
-    .with_store_dir(&dir);
-    campaign.run_grid(&sim, &storages, &[8.0, 16.0], 1, SEED);
-    campaign.run_sweep(&sim, &storages[1], &[4.0, 12.5, 20.0], 1, SEED);
-    let records = campaign.manifest().points;
-    assert_eq!(records.len(), PINNED_TREE.len());
-    for (rec, &(row, snr, label, seed, fault_seed)) in records.iter().zip(&PINNED_TREE) {
-        assert_eq!(rec.label, label);
-        assert_eq!(rec.snr_db, snr, "{label}");
-        let key = point_key(&point_fingerprint(
-            &cfg,
-            &storages[row],
-            snr,
+    let mut points = grid_points(&storages, &[8.0, 16.0], 1, SEED);
+    points.extend(sweep_points(&storages[1], &[4.0, 12.5, 20.0], 1, SEED));
+    assert_eq!(points.len(), PINNED_TREE.len());
+    for (point, &(row, snr, label, seed, fault_seed)) in points.iter().zip(&PINNED_TREE) {
+        let expected = CampaignPoint {
+            label: label.into(),
+            storage: storages[row].clone(),
+            snr_db: snr,
+            max_packets: 1,
             seed,
             fault_seed,
-        ));
-        assert_eq!(rec.key, key, "{label}: seed or die seed moved");
+        };
+        assert_eq!(point, &expected);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 mod properties {
@@ -311,11 +337,20 @@ mod properties {
             let cfg = *sim.config();
             let storage = StorageConfig::unprotected(0.08, cfg.llr_bits);
             let engine = SimulationEngine::with_threads(threads).shard_packets(shard);
-            let one_shot = engine.run_point(&sim, &storage, 10.0, n, SEED);
+            let chunk = |first_packet, n_packets| ChunkSpec {
+                storage: storage.clone(),
+                snr_db: 10.0,
+                first_packet,
+                n_packets,
+                seed: SEED,
+                fault_seed: None,
+            };
+            let one_shot = engine.run_chunks(&sim, &[chunk(0, n)]);
             let mut merged = HarqStats::new(cfg.max_transmissions, cfg.payload_bits);
-            merged.merge(&engine.run_point_resumed(&sim, &storage, 10.0, 0, cut, SEED));
-            merged.merge(&engine.run_point_resumed(&sim, &storage, 10.0, cut, n - cut, SEED));
-            prop_assert_eq!(one_shot, merged);
+            for stats in engine.run_chunks(&sim, &[chunk(0, cut), chunk(cut, n - cut)]) {
+                merged.merge(&stats);
+            }
+            prop_assert_eq!(&one_shot[0], &merged);
         }
     }
 }

@@ -274,28 +274,32 @@ fn packet_outcomes_match_pre_refactor_goldens() {
 /// committed goldens.
 #[test]
 fn engine_results_are_thread_and_batch_invariant() {
-    use resilience_core::engine::{PointSpec, SimulationEngine};
+    use resilience_core::engine::{ChunkSpec, SimulationEngine};
     let cfg = SystemConfig::fast_test();
     let sim = LinkSimulator::new(cfg);
     let specs = [
-        PointSpec {
+        ChunkSpec {
             storage: StorageConfig::unprotected(0.10, cfg.llr_bits),
             snr_db: 8.0,
+            first_packet: 0,
             n_packets: 11,
             seed: 0x670,
+            fault_seed: None,
         },
-        PointSpec {
+        ChunkSpec {
             storage: StorageConfig::Perfect,
             snr_db: 14.0,
+            first_packet: 0,
             n_packets: 7,
             seed: 99,
+            fault_seed: None,
         },
     ];
     let run = |threads: usize, lanes: usize| {
         SimulationEngine::with_threads(threads)
             .shard_packets(4)
             .batch_lanes(lanes)
-            .run_batch(&sim, &specs)
+            .run_chunks(&sim, &specs)
     };
     let reference = run(1, 1);
     for (threads, lanes) in [(1, 8), (2, 8), (8, 8), (2, 1)] {

@@ -17,7 +17,9 @@ use std::path::{Path, PathBuf};
 
 use hspa_phy::harq::HarqStats;
 use resilience_core::campaign::store::{self, ChunkId};
-use resilience_core::campaign::{shard, Campaign, CampaignSettings, ShardSpec};
+use resilience_core::campaign::{
+    grid_points, shard, BackendKind, Campaign, CampaignPoint, CampaignSettings, ShardSpec,
+};
 use resilience_core::config::SystemConfig;
 use resilience_core::engine::SimulationEngine;
 use resilience_core::montecarlo::StorageConfig;
@@ -50,7 +52,7 @@ fn run_grid(dir: &Path, spec: ShardSpec) -> Campaign {
     let snrs = [4.0, 12.0, 25.0];
     let campaign =
         Campaign::new(NAME, settings(spec), SimulationEngine::with_threads(2)).with_store_dir(dir);
-    campaign.run_grid(&sim, &storages, &snrs, 18, SEED);
+    campaign.run(&sim, &grid_points(&storages, &snrs, 18, SEED));
     campaign
 }
 
@@ -282,6 +284,49 @@ fn corrupt_store_records_error_loudly_and_gc_recovers() {
     assert_eq!(gc.dropped_orphans, 0);
     let after = shard::verify(NAME, &dir, ShardSpec::single()).unwrap();
     assert!(after.ok(), "{:?}", after.problems);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lenient_load_and_gc_resync_past_a_damaged_frame_length() {
+    // Four single-chunk points on the segment backend: frame `i` of the
+    // store is point `i`'s only chunk.
+    let dir = temp_dir("resync");
+    let _ = fs::remove_dir_all(&dir);
+    let cfg = SystemConfig::fast_test();
+    let settings = CampaignSettings {
+        initial_chunk: 4,
+        backend: BackendKind::Indexed,
+        ..CampaignSettings::exhaustive()
+    };
+    let campaign = Campaign::new(NAME, settings, SimulationEngine::serial()).with_store_dir(&dir);
+    let points: Vec<CampaignPoint> = (0..4)
+        .map(|i| CampaignPoint::new(StorageConfig::Quantized, 20.0, 4, SEED + i))
+        .collect();
+    campaign.run(&LinkSimulator::new(cfg), &points);
+    let store_path = campaign.store_path();
+    let (records, _) = store::load_all(&store_path).unwrap();
+    assert_eq!(records.len(), 4);
+    let seg = fs::read(&store_path).unwrap();
+    let mut survivors = records[1..].to_vec();
+    survivors.sort_by_key(|(id, _)| *id);
+
+    // Every single-bit flip of frame 0's length word (bytes 8..12, past
+    // the 8-byte magic) loses frame 0 and nothing after it.
+    for bit in 0..32 {
+        let mut damaged = seg.clone();
+        damaged[8 + bit / 8] ^= 1 << (bit % 8);
+        fs::write(&store_path, &damaged).unwrap();
+        let load = store::load_all_lenient(&store_path).unwrap();
+        assert_eq!(load.records, records[1..], "lenient load, bit {bit}");
+        let gc = shard::gc(NAME, &dir, ShardSpec::single()).unwrap();
+        assert_eq!(gc.kept, 3, "gc, bit {bit}");
+        assert_eq!(
+            canonical_records(&store_path),
+            survivors,
+            "store after gc, bit {bit}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
